@@ -13,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -156,7 +155,9 @@ func verifyChaosRun(t *testing.T, s *policyStack, rep *redundancy.CampaignReport
 // around it.
 func runChaosAcceptance(t *testing.T, build func(s *policyStack, camp *redundancy.ChaosCampaign) redundancy.Executor[int, int], executor string) {
 	t.Helper()
-	before := runtime.NumGoroutine()
+	// Zero wedged goroutines: hangs are bounded by the variant deadline
+	// or the MaxHang guard, so the count settles back to the baseline.
+	defer checkNoGoroutineLeak(t)()
 
 	camp := chaosTestCampaign(42)
 	s := newPolicyStack(42)
@@ -167,21 +168,6 @@ func runChaosAcceptance(t *testing.T, build func(s *policyStack, camp *redundanc
 		t.Fatal(err)
 	}
 	verifyChaosRun(t, s, rep, camp, executor)
-
-	// Zero wedged goroutines: hangs were bounded by the variant deadline
-	// or the MaxHang guard, so the count settles back to the baseline.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		if runtime.NumGoroutine() <= before+2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked by the campaign: %d before, %d after",
-				before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
 }
 
 func TestChaosCampaignSequentialAlternatives(t *testing.T) {

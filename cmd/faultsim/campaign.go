@@ -21,6 +21,7 @@ import (
 	redundancy "github.com/softwarefaults/redundancy"
 	"github.com/softwarefaults/redundancy/internal/campaign"
 	"github.com/softwarefaults/redundancy/internal/faultmodel"
+	"github.com/softwarefaults/redundancy/internal/fleet"
 )
 
 // recorderSettings carries the -campaign-* / -config-out flags.
@@ -32,6 +33,14 @@ type recorderSettings struct {
 }
 
 func (s recorderSettings) active() bool { return s.storeDir != "" || s.configOut != "" }
+
+// recorder returns a fresh run recorder when -campaign-out is set.
+func (s recorderSettings) recorder(seed uint64) *runRecorder {
+	if s.storeDir == "" {
+		return nil
+	}
+	return newRunRecorder(seed)
+}
 
 // resolvedSimConfig builds the config block for a Monte Carlo run.
 func resolvedSimConfig(patternName string, n int, p, rho float64, trials int, seed uint64, bohr int) campaign.Config {
@@ -100,16 +109,21 @@ func resolvedNetConfig(seed uint64, camp *redundancy.NetworkCampaign, requests i
 	return cfg
 }
 
-// writeConfigOut echoes the resolved config as JSON to path.
-func writeConfigOut(path string, cfg campaign.Config) error {
+// writeConfig echoes the resolved config as JSON to the -config-out
+// file, if one was asked for. Modes call it once their inputs checked
+// out, so a rejected invocation leaves no file behind.
+func (s recorderSettings) writeConfig(cfg campaign.Config) error {
+	if s.configOut == "" {
+		return nil
+	}
 	data, err := json.MarshalIndent(cfg, "", " ")
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(s.configOut, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote resolved config to %s\n", path)
+	fmt.Printf("wrote resolved config to %s\n", s.configOut)
 	return nil
 }
 
@@ -122,7 +136,6 @@ type runRecorder struct {
 	seed    uint64
 	rows    map[int]*campaign.Trial
 	current int // request index for paths without a context index
-	actions map[string]int
 	started time.Time
 }
 
@@ -167,14 +180,6 @@ func (r *runRecorder) noteFailure(i int) {
 	r.mu.Unlock()
 }
 
-// noteWrong marks request i as served a wrong answer the redundancy
-// machinery accepted — the Byzantine failure a quorum exists to prevent.
-func (r *runRecorder) noteWrong(i int) {
-	r.mu.Lock()
-	r.row(i).Wrong = true
-	r.mu.Unlock()
-}
-
 // noteServed attributes the accepted answer of request i to a variant.
 func (r *runRecorder) noteServed(i int, name string) {
 	r.mu.Lock()
@@ -212,52 +217,11 @@ func (r *runRecorder) noteFault(i int, label string) {
 	r.mu.Unlock()
 }
 
-// noteActionHere books a controller action against the request in
-// flight and against the per-kind run totals. Controller actions are
-// wall-clock-scheduled, so like latency they annotate rather than
-// define a trial's deterministic identity.
-func (r *runRecorder) noteActionHere(kind string) {
-	r.mu.Lock()
-	r.row(r.current).Actions++
-	if r.actions == nil {
-		r.actions = map[string]int{}
-	}
-	r.actions[kind]++
-	r.mu.Unlock()
-}
-
-// actionTotals returns the per-kind controller-action totals, nil when
-// no controller acted (so static runs carry no actions block at all).
-func (r *runRecorder) actionTotals() map[string]int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.actions) == 0 {
-		return nil
-	}
-	out := make(map[string]int, len(r.actions))
-	for k, v := range r.actions {
-		out[k] = v
-	}
-	return out
-}
-
 // finish completes request i's row with its outcome and latency.
 func (r *runRecorder) finish(i int, err error, latency time.Duration) {
-	outcome := campaign.OutcomeOK
-	switch {
-	case err == nil:
-	case errors.Is(err, redundancy.ErrShedded):
-		outcome = campaign.OutcomeShed
-	case errors.Is(err, redundancy.ErrDegraded):
-		outcome = campaign.OutcomeDegraded
-	case errors.Is(err, redundancy.ErrBreakerOpen):
-		outcome = campaign.OutcomeBreakerOpen
-	default:
-		outcome = campaign.OutcomeFailed
-	}
 	r.mu.Lock()
 	row := r.row(i)
-	row.Outcome = outcome
+	row.Outcome = outcome(err)
 	row.Latency = latency
 	// Fault labels accumulate unsorted; normalize for digest stability.
 	if strings.Contains(row.Fault, "+") {
@@ -266,6 +230,22 @@ func (r *runRecorder) finish(i int, err error, latency time.Duration) {
 		row.Fault = strings.Join(parts, "+")
 	}
 	r.mu.Unlock()
+}
+
+// outcome classifies one request's error as a trial outcome.
+func outcome(err error) string {
+	switch {
+	case err == nil:
+		return campaign.OutcomeOK
+	case errors.Is(err, redundancy.ErrShedded):
+		return campaign.OutcomeShed
+	case errors.Is(err, redundancy.ErrDegraded):
+		return campaign.OutcomeDegraded
+	case errors.Is(err, redundancy.ErrBreakerOpen):
+		return campaign.OutcomeBreakerOpen
+	default:
+		return campaign.OutcomeFailed
+	}
 }
 
 // trials returns the recorded rows sorted by request index.
@@ -301,15 +281,35 @@ func (v spyVariant) Execute(ctx context.Context, x int) (int, error) {
 	return out, err
 }
 
-// saveRecordedRun computes aggregates, packages the rows as a
-// single-point run, and persists it to the -campaign-out store.
+// saveRecordedRun computes aggregates over the recorder's rows and
+// persists them as a single-point run.
 func saveRecordedRun(set recorderSettings, cfg campaign.Config, rec *runRecorder, observed []redundancy.ExecutorObservation, slo []redundancy.SLOStatus) error {
-	trials := rec.trials()
-	seed := campaign.NewSeedResult(cfg.Seed, trials, time.Since(rec.started), observed, slo)
-	// Controller runs carry their per-kind action totals; actionTotals
-	// is nil for every mode without a live controller, so the metrics —
-	// and the diff gates reading them — only exist where they apply.
-	seed.Aggregates.Actions = rec.actionTotals()
+	return saveRun(set, cfg, campaign.NewSeedResult(cfg.Seed, rec.trials(), time.Since(rec.started), observed, slo))
+}
+
+// fleetSeed turns an internal/fleet workload into one seed's trials
+// and aggregates; variant, when set, is credited with every answer.
+func fleetSeed(seed uint64, w fleet.Workload, variant string, observed []redundancy.ExecutorObservation, slo []redundancy.SLOStatus) campaign.SeedResult {
+	trials := make([]campaign.Trial, len(w.Requests))
+	for i, r := range w.Requests {
+		trials[i] = campaign.Trial{
+			Index:    i,
+			Outcome:  outcome(r.Err),
+			Latency:  r.Latency,
+			Variant:  variant,
+			Fault:    r.Fault,
+			Detected: r.Detected,
+			Wrong:    r.Wrong,
+			TraceID:  campaign.TrialTraceID(seed, i),
+			Actions:  r.Actions,
+		}
+	}
+	return campaign.NewSeedResult(seed, trials, w.Elapsed, observed, slo)
+}
+
+// saveRun packages one seed's results as a single-point run and
+// persists it to the -campaign-out store.
+func saveRun(set recorderSettings, cfg campaign.Config, seed campaign.SeedResult) error {
 	name := set.name
 	if name == "" {
 		name = "faultsim-" + cfg.Mode
@@ -327,7 +327,13 @@ func saveRecordedRun(set recorderSettings, cfg campaign.Config, rec *runRecorder
 	if err != nil {
 		return err
 	}
-	fmt.Printf("recorded run %s in %s (%d trials, availability %.4f)\n",
-		id, set.storeDir, doc.TotalTrials(), doc.Availability())
+	summary := fmt.Sprintf("%d trials, availability %.4f", doc.TotalTrials(), doc.Availability())
+	if c := seed.Aggregates.Conviction; c != nil {
+		summary += fmt.Sprintf(", conviction tpr %.2f fpr %.2f", c.TPR, c.FPR)
+	}
+	if e := seed.Aggregates.Ejection; e != nil {
+		summary += fmt.Sprintf(", tail amplification %.1f, ejection tpr %.2f fpr %.2f", e.TailAmplification, e.TPR, e.FPR)
+	}
+	fmt.Printf("recorded run %s in %s (%s)\n", id, set.storeDir, summary)
 	return nil
 }

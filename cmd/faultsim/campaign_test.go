@@ -139,3 +139,51 @@ func TestCrashModeRejectsRecording(t *testing.T) {
 		t.Fatalf("crash recording err = %v, want rejection", err)
 	}
 }
+
+// TestBaselineKeysMatchCIFlags resolves the config of every committed
+// quorum, control and gray baseline from the flags the CI jobs pass and
+// checks its point key against the stored run: a drifted key would
+// otherwise surface only as "MISSING in candidate" in campaign diff.
+func TestBaselineKeysMatchCIFlags(t *testing.T) {
+	const store = "../../baselines/campaigns"
+	ciArgs := map[string]func(entry string) []string{
+		"BASELINE_QUORUM": func(spec string) []string {
+			return []string{"-adversary", spec, "-replicas", "5", "-net-requests", "500", "-seed", "1",
+				"-campaign-out", ".ci-quorum", "-campaign-name", "quorum-" + spec, "-campaign-trials=false"}
+		},
+		"BASELINE_CONTROL": func(arm string) []string {
+			return []string{"-control", arm, "-seed", "1", "-net-requests", "1500",
+				"-campaign-out", ".ci-control", "-campaign-name", "control-" + arm, "-campaign-trials=false"}
+		},
+		"BASELINE_GRAY": func(arm string) []string {
+			return []string{"-gray", arm, "-seed", "1", "-net-requests", "1500",
+				"-campaign-out", ".ci-gray", "-campaign-name", "gray-" + arm, "-campaign-trials=false"}
+		},
+	}
+	for file, argsFor := range ciArgs {
+		data, err := os.ReadFile(filepath.Join(store, file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+		for _, line := range lines {
+			entry, id, ok := strings.Cut(line, " ")
+			if !ok {
+				t.Fatalf("%s: malformed line %q", file, line)
+			}
+			t.Run(file+"/"+entry, func(t *testing.T) {
+				inv, err := parseInvocation(argsFor(entry))
+				if err != nil {
+					t.Fatalf("CI flags rejected: %v", err)
+				}
+				doc, err := campaign.ReadRunFile(filepath.Join(store, id+".json"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := inv.cfg.Key(), doc.Points[0].Config.Key(); got != want {
+					t.Errorf("CI flags resolve to key %q, committed run %s has %q", got, id, want)
+				}
+			})
+		}
+	}
+}

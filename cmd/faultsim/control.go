@@ -1,545 +1,89 @@
 package main
 
-// The -control mode (experiment E28): a three-replica fleet that
-// accumulates every fault shape the repo models — one replica ages and
-// wears out, one is killed outright mid-run, one trips a deterministic
-// bohrbug — behind a failover/hedging Remote client, run twice with the
-// same seed: once as the static configuration (controller present but
-// frozen by the kill switch) and once with the autonomic controller
-// live. The static fleet collapses once all three replicas are broken;
-// the controlled fleet replaces the dead replica (MTTR measured),
-// rejuvenates the aging one, substitutes the buggy one, and holds
-// availability at the objective.
+// The -control mode prints and records the internal/fleet E28 run: a
+// three-replica fleet that accumulates an aging replica, an outright
+// process death, and a deterministic bohrbug, run with the autonomic
+// controller either live or frozen behind its kill switch. The static
+// arm collapses once all three replicas are broken; the controlled arm
+// replaces, rejuvenates and substitutes its way to the objective.
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	redundancy "github.com/softwarefaults/redundancy"
-	campaignpkg "github.com/softwarefaults/redundancy/internal/campaign"
+	"github.com/softwarefaults/redundancy/internal/campaign"
 	"github.com/softwarefaults/redundancy/internal/faultmodel"
+	"github.com/softwarefaults/redundancy/internal/fleet"
 	"github.com/softwarefaults/redundancy/internal/stats"
 )
 
-// controlObjective is the SLO latency objective the tail policy holds
-// the fleet client's p99 against.
-const controlObjective = 20 * time.Millisecond
-
-// simProc simulates one replica's serving process with the two fault
-// shapes E28 injects. Aging: after limit serves since the last
-// reinitialization the process is worn out (leaked resources,
-// fragmented state) and every call fails — rejuvenation cures it.
-// Bohrbug: inputs at or past bugAt take a deterministically broken code
-// path — reinitialization cannot help, only substituting another
-// implementation can.
-type simProc struct {
-	name  string
-	limit int64 // serves before wear-out; 0 = never ages
-	bugAt int64 // first input the buggy code path rejects; 0 = no bug
-
-	served     atomic.Int64 // serves since the last rejuvenation
-	substitute atomic.Pointer[redundancy.ServiceProxy]
-}
-
-func (p *simProc) execute(ctx context.Context, x int) (int, error) {
-	if p.bugAt > 0 && int64(x) >= p.bugAt {
-		if proxy := p.substitute.Load(); proxy != nil {
-			// The controller rebound this code path to a substitute
-			// provider; the replica serves through it from now on.
-			return proxy.Invoke(ctx, "double", x)
-		}
-		return 0, fmt.Errorf("%s: deterministic fault on input %d", p.name, x)
-	}
-	if p.limit > 0 && p.served.Load() >= p.limit {
-		return 0, fmt.Errorf("%s: worn out after %d serves", p.name, p.limit)
-	}
-	p.served.Add(1)
-	return 2 * x, nil
-}
-
-// rejuvenate reinitializes the volatile state: the aging clock resets;
-// the code — and any bug in it — stays.
-func (p *simProc) rejuvenate() { p.served.Store(0) }
-
-// controlFleet is the mutable fleet state the actuators operate on.
-type controlFleet struct {
-	mu       sync.Mutex
-	procs    map[string]*simProc
-	servers  map[string]*redundancy.ReplicaServer[int, int]
-	next     int // next replacement replica index
-	killedAt map[string]time.Time
-	mttr     []time.Duration
-}
-
-// runControl stands up the E28 fleet and drives the workload with the
-// controller either live (controlOn) or frozen behind the kill switch.
-func runControl(seed uint64, requests int, controlOn bool, extra redundancy.Observer, rec *runRecorder, set recorderSettings, runCfg campaignpkg.Config) error {
-	collector := redundancy.NewCollector()
-	engine := redundancy.NewHealthEngine(redundancy.HealthConfig{})
-	slo := redundancy.NewSLOTracker(redundancy.SLOConfig{
-		Default:    redundancy.SLObjective{Target: 0.999, Latency: controlObjective},
-		FastWindow: 500 * time.Millisecond,
-		SlowWindow: 3 * time.Second,
-	})
-	observer := redundancy.CombineObservers(collector, extra, engine, slo)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	// The fault schedule, in request indexes: r1 wears out every
-	// agingLimit serves, r2 is killed at killAt, r3's code path is broken
-	// for inputs >= bugAt.
-	agingLimit := int64(requests / 5)
-	killAt := requests / 3
-	bugAt := int64(3 * requests / 5)
-
-	network := redundancy.NewPipeNetwork()
-	fleet := &controlFleet{
-		procs: map[string]*simProc{
-			"r1": {name: "r1", limit: agingLimit},
-			"r2": {name: "r2"},
-			"r3": {name: "r3", bugAt: bugAt},
-		},
-		servers:  map[string]*redundancy.ReplicaServer[int, int]{},
-		next:     4,
-		killedAt: map[string]time.Time{},
-	}
-
-	supervisor := redundancy.NewSupervisor(redundancy.SupervisorOptions{
-		Name:     "replica-fleet",
-		Observer: observer,
-	})
-	startReplica := func(name string, proc *simProc, dynamic bool) error {
-		ln, err := network.Listen(name)
-		if err != nil {
-			return err
-		}
-		v := redundancy.NewVariant("proc", proc.execute)
-		srv := redundancy.NewReplicaServer(v, ln, redundancy.ReplicaServerConfig{
-			Name:     name,
-			Observer: observer,
-		})
-		fleet.mu.Lock()
-		fleet.procs[name] = proc
-		fleet.servers[name] = srv
-		fleet.mu.Unlock()
-		if dynamic {
-			return supervisor.StartChild(srv.AsChild())
-		}
-		return supervisor.Add(srv.AsChild())
-	}
-	names := []string{"r1", "r2", "r3"}
-	for _, name := range names {
-		if err := startReplica(name, fleet.procs[name], false); err != nil {
-			return err
-		}
-	}
-	defer func() {
-		fleet.mu.Lock()
-		servers := make([]*redundancy.ReplicaServer[int, int], 0, len(fleet.servers))
-		for _, s := range fleet.servers {
-			servers = append(servers, s)
-		}
-		fleet.mu.Unlock()
-		for _, s := range servers {
-			s.Close()
-		}
-	}()
-
-	detector := redundancy.NewFailureDetector(redundancy.FailureDetectorConfig{
-		Name:         "fleet-detector",
-		Interval:     100 * time.Millisecond,
-		Timeout:      80 * time.Millisecond,
-		SuspectAfter: 2,
-		DeadAfter:    6,
-		Observer:     observer,
-	})
-	for _, name := range names {
-		detector.Watch(name, network.Dial(name))
-	}
-	if err := supervisor.Add(detector.AsChild()); err != nil {
-		return err
-	}
-
-	breakers := redundancy.NewBreakers(redundancy.BreakerConfig{
-		ConsecutiveFailures: 8,
-		OpenFor:             250 * time.Millisecond,
-	})
-	endpoints := make([]redundancy.ReplicaEndpoint, 0, len(names))
-	for _, name := range names {
-		endpoints = append(endpoints, redundancy.ReplicaEndpoint{Name: name, Dial: network.Dial(name)})
-	}
-	remote, err := redundancy.NewRemoteVariant[int, int]("fleet", redundancy.RemoteConfig{
-		CallTimeout: 150 * time.Millisecond,
-		HedgeAfter:  25 * time.Millisecond,
-		MaxHedges:   2,
-		Breakers:    breakers,
-		Detector:    detector,
-		Observer:    observer,
-	}, endpoints...)
+// runControl runs the fleet and reports it.
+func runControl(cfg fleet.ControlConfig, set recorderSettings, runCfg campaign.Config) error {
+	res, err := fleet.RunControl(cfg)
 	if err != nil {
 		return err
 	}
-	defer remote.Close()
-	budget := redundancy.NewRetryBudget(50, 0.1)
-	client, err := redundancy.NewSingle[int, int](remote,
-		redundancy.WithObserver(observer),
-		redundancy.WithRetryPolicy(redundancy.RetryPolicy{
-			MaxAttempts: 2,
-			BaseBackoff: time.Millisecond,
-			MaxBackoff:  5 * time.Millisecond,
-			Jitter:      0.5,
-			Seed:        seed,
-			Budget:      budget,
-		}))
-	if err != nil {
-		return err
+	arm, config := "static", "static (controller frozen)"
+	if cfg.On {
+		arm, config = "controlled", "autonomic (controller live)"
 	}
-
-	// The substitute provider registry the bohrbug escalation draws
-	// from: an alternate implementation of the same interface.
-	registry := redundancy.NewServiceRegistry()
-	calcSig := redundancy.ServiceSignature{Name: "calc", Ops: []string{"double"}}
-	substituteSvc, err := redundancy.NewSimService("calc-v2", calcSig,
-		map[string]func(int) (int, error){"double": func(x int) (int, error) { return 2 * x, nil }})
-	if err != nil {
-		return err
-	}
-	if err := registry.Register(substituteSvc, nil); err != nil {
-		return err
-	}
-
-	// probeRepair verifies a repair by sending the current workload
-	// input straight at the repaired replica through a one-shot client.
-	// Left to the load balancer alone, a freshly rejuvenated replica may
-	// see no traffic for a long stretch (healthy peers absorb the load),
-	// so whether the repair actually took — the relapse evidence the
-	// bohrbug escalation rides on — would wait on routing luck. The
-	// probe's outcome flows through the replica server's observer into
-	// the health engine like any other request.
-	var lastInput atomic.Int64
-	probeRepair := func(ctx context.Context, name string) {
-		pr, err := redundancy.NewRemoteVariant[int, int](name+"-probe", redundancy.RemoteConfig{
-			CallTimeout: 150 * time.Millisecond,
-		}, redundancy.ReplicaEndpoint{Name: name, Dial: network.Dial(name)})
-		if err != nil {
-			return
-		}
-		defer pr.Close()
-		_, _ = pr.Execute(ctx, int(lastInput.Load())) // failure is evidence, not an error
-	}
-
-	// The actuators: how controller decisions become fleet changes.
-	actuators := map[string]redundancy.ControlActuator{
-		redundancy.ControlActionReplace: func(_ context.Context, a redundancy.ControlAction) (redundancy.ControlAction, error) {
-			fleet.mu.Lock()
-			name := fmt.Sprintf("r%d", fleet.next)
-			fleet.next++
-			killed := fleet.killedAt[a.Target]
-			fleet.mu.Unlock()
-			// The replacement runs the same software as everyone else —
-			// fresh environment, same aging behavior.
-			if err := startReplica(name, &simProc{name: name, limit: agingLimit}, true); err != nil {
-				return a, err
-			}
-			if err := remote.AddEndpoint(redundancy.ReplicaEndpoint{Name: name, Dial: network.Dial(name)}); err != nil {
-				return a, err
-			}
-			detector.Watch(name, network.Dial(name))
-			// Splice-before-retire: the replacement is live before the dead
-			// endpoint (and its stragglers) are cut loose.
-			if err := remote.RemoveEndpoint(a.Target); err != nil {
-				return a, err
-			}
-			detector.Forget(a.Target)
-			if !killed.IsZero() {
-				fleet.mu.Lock()
-				fleet.mttr = append(fleet.mttr, time.Since(killed))
-				fleet.mu.Unlock()
-			}
-			a.New = name
-			return a, nil
-		},
-		redundancy.ControlActionHedgeTune: func(_ context.Context, a redundancy.ControlAction) (redundancy.ControlAction, error) {
-			d, err := a.HedgeTarget()
-			if err != nil {
-				return a, err
-			}
-			remote.SetHedgeAfter(d)
-			return a, nil
-		},
-		redundancy.ControlActionDepositTune: func(_ context.Context, a redundancy.ControlAction) (redundancy.ControlAction, error) {
-			rate, err := a.DepositTarget()
-			if err != nil {
-				return a, err
-			}
-			budget.SetDepositPerRequest(rate)
-			return a, nil
-		},
-		redundancy.ControlActionRejuvenate: func(ctx context.Context, a redundancy.ControlAction) (redundancy.ControlAction, error) {
-			proc, executor, err := fleet.procFor(a.Target)
-			if err != nil {
-				return a, err
-			}
-			proc.rejuvenate()
-			// The rollback event closes the variant's health epoch: if the
-			// failure run ends here, the engine books a rejuvenation
-			// recovery — the evidence that earns an aging diagnosis.
-			observer.Rollback(executor, 0)
-			// Repair includes clearing the breaker: the replica is fresh,
-			// so evidence against its worn-out past should not keep it
-			// dark for another OpenFor.
-			breakers.Reset(strings.TrimPrefix(executor, "replica:"))
-			// And verifying: the probe shows whether the restart cured
-			// anything (recovery = aging evidence, relapse = bohrbug
-			// evidence).
-			probeRepair(ctx, strings.TrimPrefix(executor, "replica:"))
-			return a, nil
-		},
-		redundancy.ControlActionSubstitute: func(_ context.Context, a redundancy.ControlAction) (redundancy.ControlAction, error) {
-			proc, executor, err := fleet.procFor(a.Target)
-			if err != nil {
-				return a, err
-			}
-			proxy, err := redundancy.NewServiceProxy(registry, calcSig, 0.5)
-			if err != nil {
-				return a, err
-			}
-			proc.substitute.Store(proxy)
-			breakers.Reset(strings.TrimPrefix(executor, "replica:"))
-			a.New = proxy.Bound()
-			return a, nil
-		},
-	}
-	if rec != nil {
-		// Wrap every actuator so performed actions land on the trial in
-		// flight and in the per-kind totals the run document stores.
-		for kind, act := range actuators {
-			actuators[kind] = recordingActuator(rec, act)
-		}
-	}
-
-	// The diagnosis policy watches the replica executors only (current
-	// fleet and any replacement the controller may spawn).
-	watched := make([]string, 0, 9)
-	for i := 1; i <= 9; i++ {
-		watched = append(watched, fmt.Sprintf("replica:r%d", i))
-	}
-	controller := redundancy.NewController(redundancy.ControllerConfig{
-		Name:              "controller",
-		Tick:              100 * time.Millisecond,
-		MaxActionsPerKind: 4,
-		RateWindow:        2 * time.Second,
-		Sources: redundancy.ControlSources{
-			Observed: collector.Snapshot,
-			SLO:      slo.Snapshot,
-			Detector: detector.States,
-			Evidence: detector.Evidence,
-			Health:   engine.Snapshot,
-			FastBurn: slo.FastBurn,
-			P99: func(executor string) time.Duration {
-				if h := collector.ExecutorLatency(executor); h != nil {
-					return h.P99()
-				}
-				return 0
-			},
-		},
-		Policies: []redundancy.ControlPolicy{
-			&redundancy.ReplacementPolicy{DeadAfter: 6, AccuseDeadAfter: 8},
-			redundancy.NewTailPolicy(redundancy.TailPolicyConfig{
-				Client:     "fleet",
-				Objective:  controlObjective,
-				MinHedge:   5 * time.Millisecond,
-				MaxHedge:   50 * time.Millisecond,
-				HedgeAfter: remote.HedgeAfter,
-				Deposit:    budget.DepositPerRequest,
-			}),
-			redundancy.NewDiagnosisPolicy(redundancy.DiagnosisPolicyConfig{
-				FailStreakThreshold:     8,
-				RelapseLimit:            1,
-				RejuvenateCooldownTicks: 5,
-				Executors:               watched,
-			}),
-		},
-		Actuators: actuators,
-		Observer:  observer,
-	})
-	// The kill switch: the static arm runs the same loop, frozen.
-	controller.SetEnabled(controlOn)
-	if err := supervisor.Add(controller.AsChild()); err != nil {
-		return err
-	}
-
-	supDone := make(chan error, 1)
-	go func() { supDone <- supervisor.Serve(ctx) }()
-
-	// The workload: paced so the detector and the controller tick operate
-	// on wall-clock evidence while the request counter advances.
-	var (
-		total, ok int
-		latencies []time.Duration
-	)
-	runStart := time.Now()
-	for total < requests {
-		total++
-		x := total
-		lastInput.Store(int64(x))
-		if total == killAt {
-			// The outright process death: r2's server goes away mid-run.
-			fleet.mu.Lock()
-			srv := fleet.servers["r2"]
-			fleet.killedAt["r2"] = time.Now()
-			fleet.mu.Unlock()
-			srv.Close()
-		}
-		if rec != nil {
-			rec.begin(total - 1)
-			if int64(x) >= bugAt {
-				rec.noteFault(total-1, "bohr")
-			}
-		}
-		start := time.Now()
-		got, err := client.Execute(ctx, x)
-		elapsed := time.Since(start)
-		latencies = append(latencies, elapsed)
-		if err == nil && got != 2*x {
-			err = fmt.Errorf("wrong answer: got %d want %d", got, 2*x)
-		}
-		if err == nil {
-			ok++
-		}
-		if rec != nil {
-			rec.finish(total-1, err, elapsed)
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	cancel()
-	<-supDone
-
-	// Reporting.
-	arm := "static (controller frozen)"
-	if controlOn {
-		arm = "autonomic (controller live)"
-	}
-	tbl := stats.NewTable(
-		fmt.Sprintf("Autonomic control plane, %s arm (seed %d)", map[bool]string{true: "controlled", false: "static"}[controlOn], seed),
-		"measure", "value")
-	tbl.AddRow("configuration", arm)
-	tbl.AddRow("replicas (initial)", strings.Join(names, ", "))
-	tbl.AddRow("fault schedule", fmt.Sprintf("r1 ages (wear-out every %d serves), r2 killed at request %d, r3 bohrbug from input %d", agingLimit, killAt, bugAt))
-	tbl.AddRow("requests", total)
-	tbl.AddRow("served", ok)
-	availability := float64(ok) / float64(max(total, 1))
-	tbl.AddRow("availability", fmt.Sprintf("%.4f", availability))
-	tbl.AddRow("SLO objective", fmt.Sprintf("%.3f within %s", 0.999, controlObjective))
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	if len(latencies) > 0 {
-		tbl.AddRow("latency p50", latencies[len(latencies)/2].Round(time.Microsecond))
-		tbl.AddRow("latency p99", latencies[len(latencies)*99/100].Round(time.Microsecond))
-	}
-	counts := controller.Counts()
-	if len(counts) == 0 {
+	sched := res.Schedule
+	tbl := stats.NewTable(fmt.Sprintf("Autonomic control plane, %s arm (seed %d)", arm, cfg.Seed), "measure", "value")
+	tbl.AddRow("configuration", config)
+	tbl.AddRow("replicas (initial)", strings.Join(res.Names, ", "))
+	tbl.AddRow("fault schedule", fmt.Sprintf("r1 ages (wear-out every %d serves), r2 killed at request %d, r3 bohrbug from input %d",
+		sched.AgingLimit, sched.KillAt, sched.BugAt))
+	addWorkloadRows(tbl, res.Workload, "served", true)
+	tbl.AddRow("SLO objective", fmt.Sprintf("%.3f within %s", 0.999, fleet.ControlObjective))
+	if len(res.Actions) == 0 {
 		tbl.AddRow("controller actions", "none")
 	} else {
-		parts := make([]string, 0, len(counts))
-		for _, kind := range sortedKinds(counts) {
-			parts = append(parts, fmt.Sprintf("%s=%d", kind, counts[kind]))
+		kinds := make([]string, 0, len(res.Actions))
+		for kind := range res.Actions {
+			kinds = append(kinds, kind)
 		}
-		tbl.AddRow("controller actions", strings.Join(parts, " "))
+		sort.Strings(kinds)
+		for i, kind := range kinds {
+			kinds[i] = fmt.Sprintf("%s=%d", kind, res.Actions[kind])
+		}
+		tbl.AddRow("controller actions", strings.Join(kinds, " "))
 	}
-	tbl.AddRow("actions suppressed (rate limit)", controller.Suppressed())
-	fleet.mu.Lock()
-	mttr := append([]time.Duration(nil), fleet.mttr...)
-	fleet.mu.Unlock()
-	if len(mttr) > 0 {
-		tbl.AddRow("replacement MTTR", mttr[0].Round(time.Millisecond))
+	tbl.AddRow("actions suppressed (rate limit)", res.Suppressed)
+	if res.MTTR > 0 {
+		tbl.AddRow("replacement MTTR", res.MTTR.Round(time.Millisecond))
 	} else {
 		tbl.AddRow("replacement MTTR", "n/a (no replacement)")
 	}
-	tbl.AddRow("hedge delay at exit", remote.HedgeAfter())
-	tbl.AddRow("retry deposit at exit", fmt.Sprintf("%g", budget.DepositPerRequest()))
-	states := detector.States()
-	members := make([]string, 0, len(states))
-	for _, name := range sortedStateNames(states) {
-		misses, accusations, slowness := detector.Evidence(name)
-		members = append(members, fmt.Sprintf("%s=%s(miss=%d,accuse=%d,slow=%d)", name, states[name], misses, accusations, slowness))
-	}
-	tbl.AddRow("final membership", strings.Join(members, " "))
-	tbl.AddRow("endpoints at exit", strings.Join(remote.Endpoints(), ", "))
+	tbl.AddRow("hedge delay at exit", res.HedgeAfter)
+	tbl.AddRow("retry deposit at exit", fmt.Sprintf("%g", res.Deposit))
+	tbl.AddRow("final membership", membership(res.Replicas, nil, true))
+	tbl.AddRow("endpoints at exit", strings.Join(res.Endpoints, ", "))
 	fmt.Println(tbl)
-	_ = runStart
-	if rec != nil {
-		return saveRecordedRun(set, runCfg, rec, collector.Snapshot(), slo.Snapshot())
+	if set.storeDir == "" {
+		return nil
 	}
-	return nil
-}
-
-// procFor resolves a diagnosis-policy target ("replica:<name>/<variant>")
-// to the replica's process.
-func (f *controlFleet) procFor(target string) (*simProc, string, error) {
-	executor, _, _ := strings.Cut(target, "/")
-	name := strings.TrimPrefix(executor, "replica:")
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	proc, ok := f.procs[name]
-	if !ok {
-		return nil, executor, fmt.Errorf("control: unknown replica %q in target %q", name, target)
+	seed := fleetSeed(cfg.Seed, res.Workload, "", res.Observed, res.SLO)
+	if len(res.Actions) > 0 {
+		seed.Aggregates.Actions = res.Actions
 	}
-	return proc, executor, nil
-}
-
-// recordingActuator wraps an actuator so every performed action is
-// booked on the recorder (per-trial and per-kind).
-func recordingActuator(rec *runRecorder, inner redundancy.ControlActuator) redundancy.ControlActuator {
-	return func(ctx context.Context, a redundancy.ControlAction) (redundancy.ControlAction, error) {
-		done, err := inner(ctx, a)
-		if err == nil {
-			rec.noteActionHere(done.Kind)
-		}
-		return done, err
-	}
-}
-
-func sortedKinds(m map[string]int) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedStateNames(m map[string]redundancy.ReplicaState) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return saveRun(set, runCfg, seed)
 }
 
 // resolvedControlConfig builds the config block for a -control run.
-func resolvedControlConfig(seed uint64, requests int, controlOn bool) campaignpkg.Config {
-	mode := "off"
-	if controlOn {
-		mode = "on"
-	}
-	return campaignpkg.Config{
+func resolvedControlConfig(seed uint64, requests int, controlOn bool) campaign.Config {
+	return campaign.Config{
 		Mode:     "control",
 		Pattern:  "single",
 		Variants: 3,
 		Seed:     seed,
 		Requests: requests,
 		Trials:   requests,
-		Control:  mode,
-		Executor: campaignpkg.ExecutorConfig{
+		Control:  onOff(controlOn),
+		Executor: campaign.ExecutorConfig{
 			BreakerConsecutiveFailures: 8,
-			BreakerOpenFor:             faultmodel.Duration(250 * time.Millisecond),
+			BreakerOpenFor:             faultmodel.Duration(fleet.DefaultControlTiming.BreakerOpenFor),
 			CallTimeout:                faultmodel.Duration(150 * time.Millisecond),
 			HedgeAfter:                 faultmodel.Duration(25 * time.Millisecond),
 			MaxHedges:                  2,
@@ -550,3 +94,5 @@ func resolvedControlConfig(seed uint64, requests int, controlOn bool) campaignpk
 		},
 	}
 }
+
+func onOff(on bool) string { return boolWord(on, "on", "off") }

@@ -1,416 +1,101 @@
 package main
 
-// The -gray mode (experiment E29): a three-replica fleet where the
-// client's configured primary turns gray mid-run — it heartbeats on
-// time and answers every request correctly, but serves 20× slower.
-// The run is an A/B pair over the same seed and fault schedule:
-//
-//	-gray off  the unmitigated arm — no hedging, no ejector; static
-//	           routing keeps sending traffic to the limping primary and
-//	           the fleet p99 inflates by the full limp factor while
-//	           availability and correctness stay perfect (nothing else
-//	           in the stack can even see the fault).
-//	-gray on   the mitigated arm — hedged requests bound each slow
-//	           call, censored attempt latencies feed the ejector's
-//	           EWMAs, the outlier is ejected and probed, the
-//	           gray-failure policy routes the persistent slowness
-//	           evidence to a rejuvenation, and the cured replica is
-//	           reinstated before the run ends.
-//
-// The fault window is keyed to the fleet request counter (healthy
-// warmup for the baseline, a limp stretch, a recovery tail), so both
-// arms inject exactly the same fault and the tail amplification —
-// run p99 over healthy-phase p99 — is directly comparable.
+// The -gray mode prints and records the internal/fleet E29 run: a
+// three-replica fleet whose configured primary turns fail-slow over the
+// middle of the run while heartbeating on time and answering
+// correctly. -gray off runs it unmitigated (no hedging, no ejector: the
+// fleet p99 inflates by the full limp factor); -gray on arms the
+// mitigation stack (hedging, latency-outlier ejection, the gray-failure
+// rejuvenation policy). Both arms inject the same request-keyed fault,
+// so their tail amplification compares directly.
 
 import (
-	"context"
 	"fmt"
-	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
-	redundancy "github.com/softwarefaults/redundancy"
-	campaignpkg "github.com/softwarefaults/redundancy/internal/campaign"
+	"github.com/softwarefaults/redundancy/internal/campaign"
 	"github.com/softwarefaults/redundancy/internal/faultmodel"
+	"github.com/softwarefaults/redundancy/internal/fleet"
 	"github.com/softwarefaults/redundancy/internal/stats"
 )
 
-// grayBaseLatency is the healthy service time of every replica — the
-// unit the limp factor multiplies.
-const grayBaseLatency = time.Millisecond
+// The CLI's E29 time constants: a 1ms healthy service time and a hedge
+// delay of a few healthy latencies, far under the limp.
+const (
+	grayBaseLatency = time.Millisecond
+	grayHedgeAfter  = 3 * time.Millisecond
+)
 
-// grayHedgeAfter is the mitigated arm's hedge delay: a few multiples
-// of the healthy latency, far under the limp, so a hedge bounds every
-// slow call (and the canceled limper attempt becomes the censored
-// latency evidence the ejector needs).
-const grayHedgeAfter = 3 * time.Millisecond
-
-// runGray stands up the E29 fleet and drives the workload with the
-// gray-failure mitigation stack either live (grayOn) or absent.
-func runGray(seed uint64, requests int, grayOn bool, spec string, extra redundancy.Observer, rec *runRecorder, set recorderSettings, runCfg campaignpkg.Config) error {
-	profile, factor, err := redundancy.ParseFailSlowSpec(spec)
+// runGray runs the fleet and reports it.
+func runGray(cfg fleet.GrayConfig, set recorderSettings, runCfg campaign.Config) error {
+	res, err := fleet.RunGray(cfg)
 	if err != nil {
 		return err
 	}
-	collector := redundancy.NewCollector()
-	observer := redundancy.CombineObservers(collector, extra)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	// The fault window, in fleet request indexes: a healthy warmup that
-	// measures the baseline, a limp stretch, and a recovery tail. The
-	// gate reads the fleet counter rather than the limper's own call
-	// count, so a limper the ejector has starved of traffic still
-	// recovers on schedule.
-	var fleetReq atomic.Int64
-	limpFrom := int64(requests / 5)
-	limpUntil := int64(3 * requests / 5)
-	gate := func() bool {
-		i := fleetReq.Load()
-		return i >= limpFrom && i < limpUntil
+	arm, config := "unmitigated", "unmitigated (no hedge, no ejector)"
+	if cfg.On {
+		arm, config = "mitigated", "mitigated (hedge + ejector + rejuvenation policy)"
 	}
-
-	serve := func(name string) redundancy.Variant[int, int] {
-		return redundancy.NewVariant(name, func(ctx context.Context, x int) (int, error) {
-			timer := time.NewTimer(grayBaseLatency)
-			defer timer.Stop()
-			select {
-			case <-timer.C:
-			case <-ctx.Done():
-				return 0, ctx.Err()
-			}
-			return 2 * x, nil
-		})
-	}
-	// r1 is the configured primary — the worst replica to lose to a
-	// gray failure, because static routing concentrates traffic on it.
-	limper := &redundancy.FailSlowVariant[int, int]{
-		Base:        serve("r1"),
-		Profile:     profile,
-		Factor:      factor,
-		BaseLatency: grayBaseLatency,
-		Seed:        seed,
-		Replica:     "r1",
-		RampCalls:   requests / 10,
-		Gate:        gate,
-	}
-	variants := map[string]redundancy.Variant[int, int]{
-		"r1": limper,
-		"r2": serve("r2"),
-		"r3": serve("r3"),
-	}
-
-	network := redundancy.NewPipeNetwork()
-	supervisor := redundancy.NewSupervisor(redundancy.SupervisorOptions{
-		Name:     "gray-fleet",
-		Observer: observer,
-	})
-	names := []string{"r1", "r2", "r3"}
-	for _, name := range names {
-		ln, err := network.Listen(name)
-		if err != nil {
-			return err
-		}
-		srv := redundancy.NewReplicaServer(variants[name], ln, redundancy.ReplicaServerConfig{
-			Name:     name,
-			Observer: observer,
-		})
-		defer srv.Close()
-		if err := supervisor.Add(srv.AsChild()); err != nil {
-			return err
-		}
-	}
-
-	// The heartbeat detector sees nothing wrong the whole run — that is
-	// the point of the experiment. It is here so the stats table can
-	// prove the miss track stayed clean, and (mitigated arm) as the
-	// ledger the ejector files slowness evidence with.
-	detector := redundancy.NewFailureDetector(redundancy.FailureDetectorConfig{
-		Name:         "fleet-detector",
-		Interval:     50 * time.Millisecond,
-		Timeout:      80 * time.Millisecond,
-		SuspectAfter: 2,
-		DeadAfter:    6,
-		Seed:         seed,
-		Observer:     observer,
-	})
-	for _, name := range names {
-		detector.Watch(name, network.Dial(name))
-	}
-	if err := supervisor.Add(detector.AsChild()); err != nil {
-		return err
-	}
-
-	remoteCfg := redundancy.RemoteConfig{
-		CallTimeout: 150 * time.Millisecond,
-		Detector:    detector,
-		Observer:    observer,
-	}
-	var ejector *redundancy.LatencyEjector
-	if grayOn {
-		ejector = redundancy.NewLatencyEjector(redundancy.LatencyEjectorConfig{
-			Name:           "fleet-ejector",
-			Threshold:      3,
-			MinSamples:     3,
-			MinKeep:        2, // never leave fewer than 2 of 3 in rotation
-			ProbeEvery:     64,
-			ReinstateAfter: 3,
-			Seed:           seed,
-			Detector:       detector,
-			Observer:       observer,
-		})
-		remoteCfg.HedgeAfter = grayHedgeAfter
-		remoteCfg.MaxHedges = 2
-		remoteCfg.Ejector = ejector
-	}
-	endpoints := make([]redundancy.ReplicaEndpoint, 0, len(names))
-	for _, name := range names {
-		endpoints = append(endpoints, redundancy.ReplicaEndpoint{Name: name, Dial: network.Dial(name)})
-	}
-	remote, err := redundancy.NewRemoteVariant[int, int]("fleet", remoteCfg, endpoints...)
-	if err != nil {
-		return err
-	}
-	defer remote.Close()
-
-	// The mitigated arm closes the control loop: persistent slowness
-	// evidence — filed by the ejector, visible in detector.Evidence —
-	// earns the limper a rejuvenation, which cures the limp; the
-	// ejector's probes then observe the recovery and reinstate it.
-	var rejuvenations atomic.Int64
-	if grayOn {
-		actuators := map[string]redundancy.ControlActuator{
-			redundancy.ControlActionRejuvenate: func(_ context.Context, a redundancy.ControlAction) (redundancy.ControlAction, error) {
-				if a.Target == "r1" {
-					limper.Rejuvenate()
-				}
-				rejuvenations.Add(1)
-				return a, nil
-			},
-		}
-		if rec != nil {
-			for kind, act := range actuators {
-				actuators[kind] = recordingActuator(rec, act)
-			}
-		}
-		controller := redundancy.NewController(redundancy.ControllerConfig{
-			Name:              "controller",
-			Tick:              50 * time.Millisecond,
-			MaxActionsPerKind: 4,
-			RateWindow:        2 * time.Second,
-			Sources: redundancy.ControlSources{
-				Detector: detector.States,
-				Evidence: detector.Evidence,
-			},
-			Policies: []redundancy.ControlPolicy{
-				redundancy.NewGrayFailurePolicy(redundancy.GrayFailurePolicyConfig{
-					SlownessThreshold: 3,
-					SettleTicks:       2,
-					CooldownTicks:     20,
-				}),
-			},
-			Actuators: actuators,
-			Observer:  observer,
-		})
-		if err := supervisor.Add(controller.AsChild()); err != nil {
-			return err
-		}
-	}
-
-	supDone := make(chan error, 1)
-	go func() { supDone <- supervisor.Serve(ctx) }()
-
-	var (
-		total, ok, wrong int
-		latencies        []time.Duration
-		limpStart        time.Time
-		timeToEject      time.Duration
-	)
-	for total < requests {
-		i := total
-		total++
-		fleetReq.Store(int64(i))
-		if int64(i) == limpFrom {
-			limpStart = time.Now()
-		}
-		if rec != nil {
-			rec.begin(i)
-			if int64(i) >= limpFrom && int64(i) < limpUntil {
-				// Schedule ground truth: every request in the window ran
-				// against a degraded fleet, whether or not it was routed
-				// to the limper.
-				rec.noteFault(i, "failslow")
-			}
-		}
-		start := time.Now()
-		got, execErr := remote.Execute(ctx, i)
-		elapsed := time.Since(start)
-		latencies = append(latencies, elapsed)
-		if execErr == nil && got != 2*i {
-			wrong++
-			execErr = fmt.Errorf("wrong answer: got %d want %d", got, 2*i)
-		}
-		if execErr == nil {
-			ok++
-		}
-		if rec != nil {
-			rec.noteServed(i, "fleet")
-			rec.finish(i, execErr, elapsed)
-		}
-		if ejector != nil && timeToEject == 0 && !limpStart.IsZero() && ejector.Ejected("r1") {
-			timeToEject = time.Since(limpStart)
-		}
-	}
-
-	cancel()
-	<-supDone
-
-	// Tail amplification: the whole run's p99 over the healthy baseline
-	// p99. The baseline pools every gate-closed request (warmup and
-	// tail) — a p99 order statistic over the larger pool is far more
-	// stable against isolated scheduler hiccups than one over the short
-	// warmup alone. The unmitigated arm inflates by the limp factor;
-	// the mitigated arm should hold it near 1.
-	healthyLats := make([]time.Duration, 0, len(latencies))
-	for i, d := range latencies {
-		if int64(i) < limpFrom || int64(i) >= limpUntil {
-			healthyLats = append(healthyLats, d)
-		}
-	}
-	baselineP99 := grayP99(healthyLats)
-	runP99 := grayP99(latencies)
-	amplification := 0.0
-	if baselineP99 > 0 {
-		amplification = float64(runP99) / float64(baselineP99)
-	}
-
-	// Ejection scoring against the seeded ground truth, replica-level:
-	// r1 limped; r2 and r3 never did.
-	limpers := map[string]bool{"r1": true, "r2": false, "r3": false}
-	everEjected := map[string]bool{}
-	if ejector != nil {
-		for _, ep := range ejector.Snapshot() {
-			if ep.Ejections > 0 {
-				everEjected[ep.Endpoint] = true
-			}
-		}
-	}
-	ejection := campaignpkg.NewEjection(limpers, everEjected)
-	if ejector != nil {
-		ejection.Reinstated = ejector.Reinstatements()
-	}
-	ejection.TailAmplification = amplification
-
-	arm := "unmitigated (no hedge, no ejector)"
-	if grayOn {
-		arm = "mitigated (hedge + ejector + rejuvenation policy)"
-	}
-	tbl := stats.NewTable(
-		fmt.Sprintf("Gray-failure fleet, %s arm (seed %d)", map[bool]string{true: "mitigated", false: "unmitigated"}[grayOn], seed),
-		"measure", "value")
-	tbl.AddRow("configuration", arm)
-	tbl.AddRow("replicas", strings.Join(names, ", "))
-	tbl.AddRow("fault", fmt.Sprintf("r1 fail-slow %s ×%g over requests [%d, %d)", profile, factor, limpFrom, limpUntil))
-	tbl.AddRow("requests", total)
-	tbl.AddRow("served", ok)
-	tbl.AddRow("availability", fmt.Sprintf("%.4f", float64(ok)/float64(max(total, 1))))
-	tbl.AddRow("wrong answers", wrong)
-	tbl.AddRow("baseline p99 (healthy phase)", baselineP99.Round(time.Microsecond))
-	tbl.AddRow("run p99", runP99.Round(time.Microsecond))
-	tbl.AddRow("tail amplification", fmt.Sprintf("%.1f×", amplification))
-	if ejector != nil {
-		tbl.AddRow("ejection TPR", fmt.Sprintf("%.2f (%d/%d limpers ejected)", ejection.TPR, ejection.EjectedLimpers, ejection.Limpers))
-		tbl.AddRow("ejection FPR", fmt.Sprintf("%.2f (%d/%d healthy ejected)", ejection.FPR, ejection.EjectedHealthy, ejection.Healthy))
-		if timeToEject > 0 {
-			tbl.AddRow("time to eject", timeToEject.Round(time.Millisecond))
+	ej := res.Ejection
+	tbl := stats.NewTable(fmt.Sprintf("Gray-failure fleet, %s arm (seed %d)", arm, cfg.Seed), "measure", "value")
+	tbl.AddRow("configuration", config)
+	tbl.AddRow("replicas", strings.Join(res.Names, ", "))
+	tbl.AddRow("fault", fmt.Sprintf("%s fail-slow %s ×%g over requests [%d, %d)",
+		fleet.GrayLimper, cfg.Profile, cfg.Factor, res.LimpFrom, res.LimpUntil))
+	addWorkloadRows(tbl, res.Workload, "served", false)
+	tbl.AddRow("wrong answers", res.WrongAnswers())
+	tbl.AddRow("baseline p99 (healthy phase)", res.BaselineP99.Round(time.Microsecond))
+	tbl.AddRow("run p99", res.RunP99.Round(time.Microsecond))
+	tbl.AddRow("tail amplification", fmt.Sprintf("%.1f×", res.Amplification))
+	if cfg.On {
+		tbl.AddRow("ejection TPR", fmt.Sprintf("%.2f (%d/%d limpers ejected)", ej.TPR, ej.EjectedLimpers, ej.Limpers))
+		tbl.AddRow("ejection FPR", fmt.Sprintf("%.2f (%d/%d healthy ejected)", ej.FPR, ej.EjectedHealthy, ej.Healthy))
+		if res.TimeToEject > 0 {
+			tbl.AddRow("time to eject", res.TimeToEject.Round(time.Millisecond))
 		} else {
 			tbl.AddRow("time to eject", "n/a (never ejected)")
 		}
-		tbl.AddRow("reinstatements", ejector.Reinstatements())
+		tbl.AddRow("reinstatements", ej.Reinstated)
 		var ejections, probes int64
-		for _, snap := range collector.Snapshot() {
+		for _, snap := range res.Observed {
 			ejections += snap.Ejections
 			probes += snap.ProbeLaunches
 		}
 		tbl.AddRow("ejections", ejections)
 		tbl.AddRow("probes launched", probes)
-		tbl.AddRow("rejuvenations", rejuvenations.Load())
-		parts := make([]string, 0, len(names))
-		for _, ep := range ejector.Snapshot() {
-			parts = append(parts, fmt.Sprintf("%s=%s", ep.Endpoint, ep.EWMA.Round(10*time.Microsecond)))
+		tbl.AddRow("rejuvenations", res.Rejuvenations)
+		ewmas := make([]string, len(res.Ejector))
+		for i, ep := range res.Ejector {
+			ewmas[i] = fmt.Sprintf("%s=%s", ep.Endpoint, ep.EWMA.Round(10*time.Microsecond))
 		}
-		tbl.AddRow("latency EWMAs at exit", strings.Join(parts, " "))
+		tbl.AddRow("latency EWMAs at exit", strings.Join(ewmas, " "))
 	}
-	states := detector.States()
-	members := make([]string, 0, len(states))
-	for _, name := range sortedStateNames(states) {
-		misses, accusations, slowness := detector.Evidence(name)
-		members = append(members, fmt.Sprintf("%s=%s(miss=%d,accuse=%d,slow=%d)", name, states[name], misses, accusations, slowness))
-	}
-	tbl.AddRow("final membership", strings.Join(members, " "))
+	tbl.AddRow("final membership", membership(res.Replicas, nil, true))
 	fmt.Println(tbl)
-
-	if rec != nil {
-		return saveRecordedGrayRun(set, runCfg, rec, collector.Snapshot(), ejection)
+	if set.storeDir == "" {
+		return nil
 	}
-	return nil
-}
-
-// grayP99 returns the 99th-percentile latency of one phase's samples.
-func grayP99(lats []time.Duration) time.Duration {
-	if len(lats) == 0 {
-		return 0
+	seed := fleetSeed(cfg.Seed, res.Workload, "fleet", res.Observed, nil)
+	seed.Aggregates.Ejection = ej
+	if res.Rejuvenations > 0 {
+		seed.Aggregates.Actions = map[string]int{"rejuvenate": res.Rejuvenations}
 	}
-	sorted := append([]time.Duration(nil), lats...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return sorted[len(sorted)*99/100]
-}
-
-// saveRecordedGrayRun packages the run with its ejection block — the
-// replica-level containment quality that per-trial rows cannot carry.
-func saveRecordedGrayRun(set recorderSettings, cfg campaignpkg.Config, rec *runRecorder, observed []redundancy.ExecutorObservation, ejection *campaignpkg.Ejection) error {
-	trials := rec.trials()
-	seed := campaignpkg.NewSeedResult(cfg.Seed, trials, time.Since(rec.started), observed, nil)
-	seed.Aggregates.Ejection = ejection
-	seed.Aggregates.Actions = rec.actionTotals()
-	name := set.name
-	if name == "" {
-		name = "faultsim-" + cfg.Mode
-	}
-	doc := campaignpkg.NewRecordedRun(name, cfg, seed)
-	if set.dropTrials {
-		doc.Points[0].Seeds[0].Trials = nil
-	}
-	st, err := campaignpkg.Open(set.storeDir)
-	if err != nil {
-		return err
-	}
-	id, err := st.Save(doc)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("recorded run %s in %s (%d trials, tail amplification %.1f, ejection tpr %.2f fpr %.2f)\n",
-		id, set.storeDir, doc.TotalTrials(), ejection.TailAmplification, ejection.TPR, ejection.FPR)
-	return nil
+	return saveRun(set, runCfg, seed)
 }
 
 // resolvedGrayConfig builds the config block for a -gray run.
-func resolvedGrayConfig(seed uint64, requests int, grayOn bool, spec string) campaignpkg.Config {
-	mode := "off"
-	if grayOn {
-		mode = "on"
-	}
-	cfg := campaignpkg.Config{
+func resolvedGrayConfig(seed uint64, requests int, grayOn bool, spec string) campaign.Config {
+	cfg := campaign.Config{
 		Mode:      "gray",
 		Pattern:   "single",
 		Variants:  3,
 		Seed:      seed,
 		Requests:  requests,
 		Trials:    requests,
-		Gray:      mode,
+		Gray:      onOff(grayOn),
 		GrayFault: spec,
-		Executor: campaignpkg.ExecutorConfig{
+		Executor: campaign.ExecutorConfig{
 			CallTimeout: faultmodel.Duration(150 * time.Millisecond),
 		},
 	}

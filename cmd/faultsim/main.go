@@ -109,6 +109,7 @@ import (
 	redundancy "github.com/softwarefaults/redundancy"
 	"github.com/softwarefaults/redundancy/internal/campaign"
 	"github.com/softwarefaults/redundancy/internal/faultmodel"
+	"github.com/softwarefaults/redundancy/internal/fleet"
 	"github.com/softwarefaults/redundancy/internal/nvp"
 	"github.com/softwarefaults/redundancy/internal/stats"
 	"github.com/softwarefaults/redundancy/internal/xrand"
@@ -122,6 +123,32 @@ func main() {
 }
 
 func run(args []string) error {
+	inv, err := parseInvocation(args)
+	if err != nil {
+		return err
+	}
+	return inv.start()
+}
+
+// invocation is one parsed faultsim command line whose inputs all
+// checked out. Nothing has been written and nothing started yet.
+type invocation struct {
+	seed        uint64
+	metricsAddr string
+	pprof       bool
+	traceOut    string
+	set         recorderSettings
+	// cfg is the resolved config -config-out echoes and -campaign-out
+	// records; -crash, which records nothing, leaves it zero.
+	cfg campaign.Config
+	// exec runs the mode, watched by the observer the observation
+	// flags asked for (nil when none).
+	exec func(observer redundancy.Observer) error
+}
+
+// parseInvocation parses and checks a command line: the flags, then
+// the selected mode's own inputs (specs, counts, on/off values).
+func parseInvocation(args []string) (*invocation, error) {
 	fs := flag.NewFlagSet("faultsim", flag.ContinueOnError)
 	var (
 		patternName = fs.String("pattern", "nvp", "pattern: single, nvp, selection, sequential")
@@ -155,35 +182,184 @@ func run(args []string) error {
 		configOut    = fs.String("config-out", "", "write the fully resolved run configuration as JSON to this file and continue")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, err
 	}
 	if *n < 1 || *p < 0 || *p > 1 || *rho < 0 || *rho > 1 || *trials < 1 {
-		return fmt.Errorf("invalid parameters: n=%d p=%f rho=%f trials=%d", *n, *p, *rho, *trials)
+		return nil, fmt.Errorf("invalid parameters: n=%d p=%f rho=%f trials=%d", *n, *p, *rho, *trials)
 	}
 	if *bohr < 0 || *bohr > *n {
-		return fmt.Errorf("invalid -bohr %d: want a variant index in 1..%d (0 disables)", *bohr, *n)
+		return nil, fmt.Errorf("invalid -bohr %d: want a variant index in 1..%d (0 disables)", *bohr, *n)
 	}
+	if *pprofFlag && *metricsAddr == "" {
+		return nil, fmt.Errorf("-pprof requires -metrics-addr")
+	}
+	if (*adversary != "" || *control != "" || *gray != "" || *netMode || *netChaos) && *netRequests < 1 {
+		return nil, fmt.Errorf("invalid -net-requests %d", *netRequests)
+	}
+	inv := &invocation{
+		seed:        *seed,
+		metricsAddr: *metricsAddr,
+		pprof:       *pprofFlag,
+		traceOut:    *traceOut,
+		set: recorderSettings{
+			storeDir:   *campaignOut,
+			name:       *campaignName,
+			configOut:  *configOut,
+			dropTrials: !*campaignRows,
+		},
+	}
+	set := inv.set
 
+	switch {
+	case *crash:
+		if set.active() {
+			return nil, fmt.Errorf("-campaign-out/-config-out do not support -crash (its unit of work is a restart, not a request)")
+		}
+		inv.exec = func(observer redundancy.Observer) error { return runCrash(*seed, *walDir, observer) }
+
+	case *adversary != "":
+		strategy, liars, err := redundancy.ParseAdversarySpec(*adversary)
+		if err != nil {
+			return nil, err
+		}
+		if *replicas < 3 {
+			return nil, fmt.Errorf("invalid -replicas %d: a quorum needs at least 3", *replicas)
+		}
+		if liars > *replicas {
+			return nil, fmt.Errorf("-adversary count %d exceeds -replicas %d", liars, *replicas)
+		}
+		inv.cfg = resolvedQuorumConfig(*seed, *replicas, *adversary, *netRequests)
+		inv.exec = func(observer redundancy.Observer) error {
+			return runQuorum(fleet.QuorumConfig{
+				Seed:     *seed,
+				Replicas: *replicas,
+				Strategy: strategy,
+				Liars:    liars,
+				Requests: *netRequests,
+				Observer: observer,
+			}, set, inv.cfg)
+		}
+
+	case *control != "":
+		on, err := parseOnOff("-control", *control)
+		if err != nil {
+			return nil, err
+		}
+		inv.cfg = resolvedControlConfig(*seed, *netRequests, on)
+		inv.exec = func(observer redundancy.Observer) error {
+			return runControl(fleet.ControlConfig{
+				Seed:     *seed,
+				Requests: *netRequests,
+				On:       on,
+				Observer: observer,
+			}, set, inv.cfg)
+		}
+
+	case *gray != "":
+		on, err := parseOnOff("-gray", *gray)
+		if err != nil {
+			return nil, err
+		}
+		profile, factor, err := redundancy.ParseFailSlowSpec(*graySpec)
+		if err != nil {
+			return nil, err
+		}
+		inv.cfg = resolvedGrayConfig(*seed, *netRequests, on, *graySpec)
+		inv.exec = func(observer redundancy.Observer) error {
+			return runGray(fleet.GrayConfig{
+				Seed:        *seed,
+				Requests:    *netRequests,
+				On:          on,
+				Profile:     profile,
+				Factor:      factor,
+				BaseLatency: grayBaseLatency,
+				HedgeAfter:  grayHedgeAfter,
+				Observer:    observer,
+			}, set, inv.cfg)
+		}
+
+	case *netMode || *netChaos:
+		var camp *redundancy.NetworkCampaign
+		if *netChaos {
+			if *netSpec != "" {
+				data, err := os.ReadFile(*netSpec)
+				if err != nil {
+					return nil, fmt.Errorf("net spec: %w", err)
+				}
+				if camp, err = redundancy.ParseNetworkCampaign(data); err != nil {
+					return nil, err
+				}
+			} else {
+				camp = redundancy.DefaultNetworkCampaign(*seed, fleet.NetVictim)
+			}
+		}
+		inv.cfg = resolvedNetConfig(*seed, camp, *netRequests)
+		inv.exec = func(observer redundancy.Observer) error {
+			return runNet(*seed, fleet.NetConfig{
+				Requests: *netRequests,
+				Campaign: camp,
+				Observer: observer,
+			}, *traceOut, set, inv.cfg)
+		}
+
+	case *chaos:
+		if *patternName != "single" && *patternName != "sequential" && *patternName != "selection" {
+			return nil, fmt.Errorf("-chaos supports patterns single, sequential, selection (got %q)", *patternName)
+		}
+		var camp *faultmodel.Campaign
+		if *chaosSpec != "" {
+			data, err := os.ReadFile(*chaosSpec)
+			if err != nil {
+				return nil, fmt.Errorf("chaos spec: %w", err)
+			}
+			if camp, err = faultmodel.ParseCampaign(data); err != nil {
+				return nil, err
+			}
+		} else {
+			camp = faultmodel.DefaultCampaign(*seed)
+		}
+		inv.cfg = resolvedChaosConfig(*patternName, *n, *bohr, camp)
+		inv.exec = func(observer redundancy.Observer) error {
+			return runChaos(*patternName, *n, *bohr, camp, *chaosOut, observer, set.recorder(inv.cfg.Seed), set, inv.cfg)
+		}
+
+	default:
+		switch *patternName {
+		case "nvp", "single", "selection", "sequential":
+		default:
+			return nil, fmt.Errorf("unknown pattern %q", *patternName)
+		}
+		inv.cfg = resolvedSimConfig(*patternName, *n, *p, *rho, *trials, *seed, *bohr)
+		inv.exec = func(observer redundancy.Observer) error {
+			return runSim(*patternName, *n, *p, *rho, *trials, *seed, *bohr, observer, set, inv.cfg)
+		}
+	}
+	return inv, nil
+}
+
+// start sets up the observation the flags asked for, echoes the
+// resolved config, and runs the mode.
+func (inv *invocation) start() error {
 	// Span IDs derive from the run seed so repeated runs export
 	// byte-comparable trace files.
-	redundancy.SeedTraceIDs(*seed)
+	redundancy.SeedTraceIDs(inv.seed)
 
 	var observer redundancy.Observer
-	if *metricsAddr != "" || *traceOut != "" {
+	if inv.metricsAddr != "" || inv.traceOut != "" {
 		collector := redundancy.NewCollector()
 		traces := redundancy.NewTraceRecorder(1024)
 		engine := redundancy.NewHealthEngine(redundancy.HealthConfig{})
 		slo := redundancy.NewSLOTracker(redundancy.SLOConfig{})
 		engine.AttachSLO(slo) // burn-rate breaches degrade /healthz
 		observer = redundancy.CombineObservers(collector, traces, engine, slo)
-		if *metricsAddr != "" {
-			ln, err := net.Listen("tcp", *metricsAddr)
+		if inv.metricsAddr != "" {
+			ln, err := net.Listen("tcp", inv.metricsAddr)
 			if err != nil {
 				return fmt.Errorf("metrics listener: %w", err)
 			}
 			defer ln.Close()
 			extras := []redundancy.ObservationEndpoint{engine.Extra(), slo.Extra()}
-			if *pprofFlag {
+			if inv.pprof {
 				extras = append(extras, redundancy.PprofEndpoints()...)
 			}
 			srv := &http.Server{Handler: redundancy.ObservationHandler(collector, traces, extras...)}
@@ -191,174 +367,36 @@ func run(args []string) error {
 			defer srv.Close()
 			fmt.Printf("serving metrics on http://%s/metrics\n", ln.Addr())
 		}
-		if *traceOut != "" {
-			defer func() { dumpTraces(traces, *traceOut) }()
+		if inv.traceOut != "" {
+			defer func() { dumpTraces(traces, inv.traceOut) }()
 		}
-	} else if *pprofFlag {
-		return fmt.Errorf("-pprof requires -metrics-addr")
 	}
-
-	set := recorderSettings{
-		storeDir:   *campaignOut,
-		name:       *campaignName,
-		configOut:  *configOut,
-		dropTrials: !*campaignRows,
-	}
-
-	if *crash {
-		if set.active() {
-			return fmt.Errorf("-campaign-out/-config-out do not support -crash (its unit of work is a restart, not a request)")
-		}
-		return runCrash(*seed, *walDir, observer)
-	}
-
-	if *adversary != "" {
-		strategy, liarCount, err := redundancy.ParseAdversarySpec(*adversary)
-		if err != nil {
-			return err
-		}
-		if *replicas < 3 {
-			return fmt.Errorf("invalid -replicas %d: a quorum needs at least 3", *replicas)
-		}
-		if *netRequests < 1 {
-			return fmt.Errorf("invalid -net-requests %d", *netRequests)
-		}
-		quorumCfg := resolvedQuorumConfig(*seed, *replicas, *adversary, *netRequests)
-		if *configOut != "" {
-			if err := writeConfigOut(*configOut, quorumCfg); err != nil {
-				return err
-			}
-		}
-		var rec *runRecorder
-		if *campaignOut != "" {
-			rec = newRunRecorder(quorumCfg.Seed)
-		}
-		return runQuorum(*seed, *replicas, strategy, liarCount, *netRequests, observer, rec, set, quorumCfg)
-	}
-
-	if *control != "" {
-		if *control != "on" && *control != "off" {
-			return fmt.Errorf("invalid -control %q: want on or off", *control)
-		}
-		if *netRequests < 1 {
-			return fmt.Errorf("invalid -net-requests %d", *netRequests)
-		}
-		controlCfg := resolvedControlConfig(*seed, *netRequests, *control == "on")
-		if *configOut != "" {
-			if err := writeConfigOut(*configOut, controlCfg); err != nil {
-				return err
-			}
-		}
-		var rec *runRecorder
-		if *campaignOut != "" {
-			rec = newRunRecorder(controlCfg.Seed)
-		}
-		return runControl(*seed, *netRequests, *control == "on", observer, rec, set, controlCfg)
-	}
-
-	if *gray != "" {
-		if *gray != "on" && *gray != "off" {
-			return fmt.Errorf("invalid -gray %q: want on or off", *gray)
-		}
-		if *netRequests < 1 {
-			return fmt.Errorf("invalid -net-requests %d", *netRequests)
-		}
-		grayCfg := resolvedGrayConfig(*seed, *netRequests, *gray == "on", *graySpec)
-		if *configOut != "" {
-			if err := writeConfigOut(*configOut, grayCfg); err != nil {
-				return err
-			}
-		}
-		var rec *runRecorder
-		if *campaignOut != "" {
-			rec = newRunRecorder(grayCfg.Seed)
-		}
-		return runGray(*seed, *netRequests, *gray == "on", *graySpec, observer, rec, set, grayCfg)
-	}
-
-	if *netMode || *netChaos {
-		var camp *redundancy.NetworkCampaign
-		if *netChaos {
-			if *netSpec != "" {
-				data, err := os.ReadFile(*netSpec)
-				if err != nil {
-					return fmt.Errorf("net spec: %w", err)
-				}
-				if camp, err = redundancy.ParseNetworkCampaign(data); err != nil {
-					return err
-				}
-			} else {
-				camp = redundancy.DefaultNetworkCampaign(*seed, netVictim)
-			}
-		}
-		if *netRequests < 1 {
-			return fmt.Errorf("invalid -net-requests %d", *netRequests)
-		}
-		netCfg := resolvedNetConfig(*seed, camp, *netRequests)
-		if *configOut != "" {
-			if err := writeConfigOut(*configOut, netCfg); err != nil {
-				return err
-			}
-		}
-		var rec *runRecorder
-		if *campaignOut != "" {
-			rec = newRunRecorder(netCfg.Seed)
-		}
-		return runNet(*seed, camp, *netRequests, observer, *traceOut, rec, set, netCfg)
-	}
-
-	if *chaos {
-		var camp *faultmodel.Campaign
-		if *chaosSpec != "" {
-			data, err := os.ReadFile(*chaosSpec)
-			if err != nil {
-				return fmt.Errorf("chaos spec: %w", err)
-			}
-			if camp, err = faultmodel.ParseCampaign(data); err != nil {
-				return err
-			}
-		} else {
-			camp = faultmodel.DefaultCampaign(*seed)
-		}
-		chaosCfg := resolvedChaosConfig(*patternName, *n, *bohr, camp)
-		if *configOut != "" {
-			if err := writeConfigOut(*configOut, chaosCfg); err != nil {
-				return err
-			}
-		}
-		var rec *runRecorder
-		if *campaignOut != "" {
-			rec = newRunRecorder(chaosCfg.Seed)
-		}
-		return runChaos(*patternName, *n, *bohr, camp, *chaosOut, observer, rec, set, chaosCfg)
-	}
-
-	simCfg := resolvedSimConfig(*patternName, *n, *p, *rho, *trials, *seed, *bohr)
-	if *configOut != "" {
-		if err := writeConfigOut(*configOut, simCfg); err != nil {
+	if inv.cfg.Mode != "" {
+		if err := inv.set.writeConfig(inv.cfg); err != nil {
 			return err
 		}
 	}
-	var rec *runRecorder
-	if *campaignOut != "" {
-		rec = newRunRecorder(simCfg.Seed)
-	}
+	return inv.exec(observer)
+}
 
+// runSim runs the Monte Carlo estimate for one pattern.
+func runSim(patternName string, n int, p, rho float64, trials int, seed uint64, bohr int, observer redundancy.Observer, set recorderSettings, cfg campaign.Config) error {
+	rec := set.recorder(cfg.Seed)
 	tbl := stats.NewTable(
 		fmt.Sprintf("Reliability of %s (n=%d, p=%.3f, rho=%.2f, %d trials)",
-			*patternName, *n, *p, *rho, *trials),
+			patternName, n, p, rho, trials),
 		"measure", "value")
-	tbl.AddRow("seed", *seed)
+	tbl.AddRow("seed", seed)
 
-	switch *patternName {
+	switch patternName {
 	case "nvp":
-		law := faultmodel.CorrelatedFailures{N: *n, P: *p, Rho: *rho}
-		ens, err := nvp.NewEnsemble(law, xrand.New(*seed))
+		law := faultmodel.CorrelatedFailures{N: n, P: p, Rho: rho}
+		ens, err := nvp.NewEnsemble(law, xrand.New(seed))
 		if err != nil {
 			return err
 		}
 		ok := 0
-		for i := 0; i < *trials; i++ {
+		for i := 0; i < trials; i++ {
 			start := time.Now()
 			_, correct := ens.Round(1)
 			if correct {
@@ -373,38 +411,36 @@ func run(args []string) error {
 				rec.finish(i, roundErr, time.Since(start))
 			}
 		}
-		prop, err := stats.NewProportion(ok, *trials)
+		prop, err := stats.NewProportion(ok, trials)
 		if err != nil {
 			return err
 		}
 		tbl.AddRow("simulated reliability", prop.Estimate)
 		tbl.AddRow("95% interval", fmt.Sprintf("[%.4f, %.4f]", prop.Lo, prop.Hi))
-		tbl.AddRow("analytic reliability", nvp.ReliabilityCorrelated(*n, *p, *rho))
-		tbl.AddRow("single-version baseline", 1-*p)
-		tbl.AddRow("tolerable faults k", redundancy.TolerableFaults(*n))
-	case "single", "selection", "sequential":
-		ok, execs, err := simulateDetected(*patternName, *n, *p, *trials, *seed, *bohr, observer, rec)
+		tbl.AddRow("analytic reliability", nvp.ReliabilityCorrelated(n, p, rho))
+		tbl.AddRow("single-version baseline", 1-p)
+		tbl.AddRow("tolerable faults k", redundancy.TolerableFaults(n))
+	default:
+		ok, execs, err := simulateDetected(patternName, n, p, trials, seed, bohr, observer, rec)
 		if err != nil {
 			return err
 		}
-		prop, err := stats.NewProportion(ok, *trials)
+		prop, err := stats.NewProportion(ok, trials)
 		if err != nil {
 			return err
 		}
 		tbl.AddRow("simulated reliability", prop.Estimate)
 		tbl.AddRow("95% interval", fmt.Sprintf("[%.4f, %.4f]", prop.Lo, prop.Hi))
-		analytic := 1 - *p
-		if *patternName != "single" {
-			analytic = 1 - pow(*p, *n)
+		analytic := 1 - p
+		if patternName != "single" {
+			analytic = 1 - pow(p, n)
 		}
 		tbl.AddRow("analytic reliability", analytic)
 		tbl.AddRow("mean executions/request", execs)
-	default:
-		return fmt.Errorf("unknown pattern %q", *patternName)
 	}
 	fmt.Println(tbl)
 	if rec != nil {
-		return saveRecordedRun(set, simCfg, rec, nil, nil)
+		return saveRecordedRun(set, cfg, rec, nil, nil)
 	}
 	return nil
 }
@@ -745,6 +781,17 @@ func runCrash(seed uint64, walDir string, extra redundancy.Observer) error {
 	}
 	fmt.Println(tbl)
 	return nil
+}
+
+// parseOnOff reads an on/off mode flag.
+func parseOnOff(flagName, v string) (bool, error) {
+	switch v {
+	case "on":
+		return true, nil
+	case "off":
+		return false, nil
+	}
+	return false, fmt.Errorf("invalid %s %q: want on or off", flagName, v)
 }
 
 func boolWord(v bool, yes, no string) string {

@@ -173,3 +173,30 @@ func TestRunNetInvalid(t *testing.T) {
 		t.Error("empty-phase network campaign accepted")
 	}
 }
+
+func TestRunFleetModeInvalidWritesNothing(t *testing.T) {
+	// Every fleet mode checks its inputs before -config-out writes the
+	// resolved config or a fleet starts.
+	bad := map[string][]string{
+		"unknown gray profile":     {"-gray", "on", "-gray-spec", "bogus:x"},
+		"liars above replicas":     {"-adversary", "always:4", "-replicas", "3"},
+		"control neither on/off":   {"-control", "maybe"},
+		"gray neither on/off":      {"-gray", "yes"},
+		"unknown chaos pattern":    {"-chaos", "-pattern", "nvp"},
+		"unknown sim pattern":      {"-pattern", "nope"},
+		"zero fleet requests":      {"-control", "on", "-net-requests", "0"},
+		"pprof without listener":   {"-gray", "off", "-pprof"},
+		"quorum below three nodes": {"-adversary", "always:1", "-replicas", "2"},
+	}
+	for name, args := range bad {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "config.json")
+			if err := run(append(args, "-config-out", path)); err == nil {
+				t.Fatalf("run(%v) accepted", args)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Errorf("run(%v) left a config file behind (stat err %v)", args, err)
+			}
+		})
+	}
+}

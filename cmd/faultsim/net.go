@@ -1,27 +1,21 @@
 package main
 
-// The -net / -net-chaos modes: a three-replica fleet behind the framed
-// RPC transport, driven by a parallel-selection executor whose variants
-// are RemoteVariants with hedging, breaker gating, and failure-detector
-// routing. -net runs the fleet over a clean in-memory network; -net-chaos
-// wraps every dial path in a seeded NetworkCampaign (partition, loss,
-// duplication, reordering, latency spikes, resets) and tabulates what the
-// redundancy machinery did about it.
+// The -net / -net-chaos modes print and record the internal/fleet E24
+// run: a three-replica fleet behind the framed RPC transport, driven by
+// a parallel-selection executor over hedging RemoteVariants. -net runs
+// it over a clean in-memory network; -net-chaos wraps every dial path
+// in a seeded NetworkCampaign (partition, loss, duplication,
+// reordering, latency spikes, resets).
 
 import (
-	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
-	redundancy "github.com/softwarefaults/redundancy"
-	campaignpkg "github.com/softwarefaults/redundancy/internal/campaign"
+	"github.com/softwarefaults/redundancy/internal/campaign"
+	"github.com/softwarefaults/redundancy/internal/fleet"
 	"github.com/softwarefaults/redundancy/internal/stats"
 )
-
-// netVictim is the endpoint the builtin network campaign partitions.
-const netVictim = "r2"
 
 // replicaTracePath derives a replica's trace-file path from the
 // -trace-out path: traces.json -> traces-r1.json.
@@ -30,222 +24,41 @@ func replicaTracePath(traceOut, name string) string {
 	return fmt.Sprintf("%s-%s.json", base, name)
 }
 
-// runNet stands up the replica fleet and drives the workload; campaign
-// is nil for a clean -net run. A non-empty traceOut gives every replica
-// server its own TraceRecorder, exported to <traceOut base>-<name>.json
-// — separate files per process, exactly what a real fleet would ship,
-// ready for `obsreport assemble` (the client's own spans land in the
-// shared -trace-out file written by main).
-func runNet(seed uint64, campaign *redundancy.NetworkCampaign, requests int, extra redundancy.Observer, traceOut string, rec *runRecorder, set recorderSettings, runCfg campaignpkg.Config) error {
-	collector := redundancy.NewCollector()
-	// A short-window SLO tracker on the client path: windows are scaled
-	// to the campaign's seconds-long phases so the fast window visibly
-	// burns during the partition and recovers after it. The latency
-	// objective sits below the hedge delay on purpose: the selection
-	// layer masks a partition completely (fleet availability holds), so
-	// the burn shows up on the per-replica-path executors, whose hedged
-	// rescues cost at least HedgeAfter.
-	slo := redundancy.NewSLOTracker(redundancy.SLOConfig{
-		Default:    redundancy.SLObjective{Target: 0.999, Latency: 20 * time.Millisecond},
-		FastWindow: 500 * time.Millisecond,
-		SlowWindow: 3 * time.Second,
-	})
-	observer := redundancy.CombineObservers(collector, extra, slo)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	network := redundancy.NewPipeNetwork()
-	names := []string{"r1", "r2", "r3"}
-
-	// The fleet: one replica server per name, accept loops supervised so
-	// an accept-loop failure is a restartable child crash, not a silent
-	// loss of capacity.
-	supervisor := redundancy.NewSupervisor(redundancy.SupervisorOptions{
-		Name:     "replica-fleet",
-		Observer: observer,
-	})
-	var servers []*redundancy.ReplicaServer[int, int]
-	replicaTraces := make(map[string]*redundancy.TraceRecorder)
-	for _, name := range names {
-		ln, err := network.Listen(name)
-		if err != nil {
-			return err
-		}
-		v := redundancy.NewVariant("double", func(_ context.Context, x int) (int, error) {
-			return 2 * x, nil
-		})
-		// Each replica records its own spans, as a separate process
-		// would — the client's recorder never sees server-side spans;
-		// only the wire-propagated trace context links the files.
-		srvObserver := observer
-		if traceOut != "" {
-			rec := redundancy.NewTraceRecorder(4096)
-			replicaTraces[name] = rec
-			srvObserver = redundancy.CombineObservers(collector, rec)
-		}
-		srv := redundancy.NewReplicaServer(v, ln, redundancy.ReplicaServerConfig{
-			Name:     name,
-			Observer: srvObserver,
-		})
-		if err := supervisor.Add(srv.AsChild()); err != nil {
-			return err
-		}
-		servers = append(servers, srv)
-	}
-	defer func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	}()
-	supDone := make(chan error, 1)
-	go func() { supDone <- supervisor.Serve(ctx) }()
-
-	// Dials — clients and heartbeats alike — go through the campaign, so
-	// the detector experiences the same weather the traffic does.
-	dialTo := func(name string) redundancy.DialFunc {
-		dial := network.Dial(name)
-		if campaign != nil {
-			dial = campaign.Wrap(name, dial)
-		}
-		return dial
-	}
-	detector := redundancy.NewFailureDetector(redundancy.FailureDetectorConfig{
-		Name:         "fleet-detector",
-		Interval:     100 * time.Millisecond,
-		Timeout:      80 * time.Millisecond,
-		SuspectAfter: 2,
-		DeadAfter:    6,
-		Observer:     observer,
-	})
-	for _, name := range names {
-		detector.Watch(name, dialTo(name))
-	}
-	detDone := make(chan error, 1)
-	go func() { detDone <- detector.Run(ctx) }()
-
-	// Three remote variants, each preferring a different primary replica
-	// but able to fail over and hedge across the whole fleet.
-	breakers := redundancy.NewBreakers(redundancy.BreakerConfig{
-		ConsecutiveFailures: 8,
-		OpenFor:             250 * time.Millisecond,
-	})
-	var variants []redundancy.Variant[int, int]
-	for i := range names {
-		var endpoints []redundancy.ReplicaEndpoint
-		for j := range names {
-			name := names[(i+j)%len(names)]
-			endpoints = append(endpoints, redundancy.ReplicaEndpoint{Name: name, Dial: dialTo(name)})
-		}
-		remote, err := redundancy.NewRemoteVariant[int, int]("via-"+names[i], redundancy.RemoteConfig{
-			CallTimeout: 150 * time.Millisecond,
-			HedgeAfter:  25 * time.Millisecond,
-			MaxHedges:   2,
-			Breakers:    breakers,
-			Detector:    detector,
-			Observer:    observer,
-		}, endpoints...)
-		if err != nil {
-			return err
-		}
-		defer remote.Close()
-		variants = append(variants, remote)
-	}
-	accept := func(in, out int) error {
-		if out != 2*in {
-			return fmt.Errorf("got %d want %d", out, 2*in)
-		}
-		return nil
-	}
-	sel, err := redundancy.NewParallelSelection(variants,
-		[]redundancy.AcceptanceTest[int, int]{accept, accept, accept},
-		redundancy.WithObserver(observer))
+// runNet runs the fleet; camp is nil for a clean -net run. A non-empty
+// traceOut gives every replica server its own trace recorder, exported
+// to <traceOut base>-<name>.json — one file per process, ready for
+// `obsreport assemble` (the client's spans land in the -trace-out file
+// main writes).
+func runNet(seed uint64, cfg fleet.NetConfig, traceOut string, set recorderSettings, runCfg campaign.Config) error {
+	cfg.ReplicaTraces = traceOut != ""
+	res, err := fleet.RunNet(cfg)
 	if err != nil {
 		return err
 	}
-
-	// The workload: either a fixed request count (clean -net) or for the
-	// campaign's whole wall-clock schedule (-net-chaos).
-	var (
-		total, ok int
-		latencies []time.Duration
-		peakBurn  float64
-		peakExec  string
-	)
-	sloExecs := []string{"parallel-selection"}
-	for _, n := range names {
-		sloExecs = append(sloExecs, "via-"+n)
-	}
-	if campaign != nil {
-		campaign.Start()
-	}
-	for {
-		if campaign != nil {
-			if campaign.Done() {
-				break
-			}
-		} else if total >= requests {
-			break
-		}
-		total++
-		if rec != nil {
-			rec.begin(total - 1)
-		}
-		start := time.Now()
-		got, err := sel.Execute(ctx, total)
-		elapsed := time.Since(start)
-		latencies = append(latencies, elapsed)
-		if err == nil && got == 2*total {
-			ok++
-		} else if err == nil {
-			err = fmt.Errorf("wrong answer: got %d want %d", got, 2*total)
-		}
-		if rec != nil {
-			rec.finish(total-1, err, elapsed)
-		}
-		for _, e := range sloExecs {
-			if burn := slo.FastBurn(e); burn > peakBurn {
-				peakBurn, peakExec = burn, e
-			}
-		}
-		sel.Reset() // network faults are transient; re-enable for the next request
-	}
-	finalBurn := slo.FastBurn("via-" + netVictim)
-
-	cancel()
-	<-detDone
-	<-supDone
-
-	for _, name := range names {
-		if rec := replicaTraces[name]; rec != nil {
+	for _, name := range res.Names {
+		if rec := res.ReplicaTraces[name]; rec != nil {
 			dumpTraces(rec, replicaTracePath(traceOut, name))
 		}
 	}
 
+	camp := cfg.Campaign
 	title := fmt.Sprintf("Distributed replica fleet (clean network, seed %d)", seed)
-	if campaign != nil {
-		title = fmt.Sprintf("Distributed replica fleet under %q network chaos (seed %d)",
-			campaign.Name, seed)
+	if camp != nil {
+		title = fmt.Sprintf("Distributed replica fleet under %q network chaos (seed %d)", camp.Name, seed)
 	}
 	tbl := stats.NewTable(title, "measure", "value")
-	tbl.AddRow("replicas", strings.Join(names, ", "))
-	if campaign != nil {
-		phases := make([]string, len(campaign.Phases))
-		for i, p := range campaign.Phases {
+	tbl.AddRow("replicas", strings.Join(res.Names, ", "))
+	if camp != nil {
+		phases := make([]string, len(camp.Phases))
+		for i, p := range camp.Phases {
 			phases[i] = p.Name
 		}
 		tbl.AddRow("campaign phases", strings.Join(phases, " → "))
-		tbl.AddRow("campaign duration", campaign.Total())
+		tbl.AddRow("campaign duration", camp.Total())
 	}
-	tbl.AddRow("requests", total)
-	tbl.AddRow("served", ok)
-	tbl.AddRow("availability", fmt.Sprintf("%.4f", float64(ok)/float64(max(total, 1))))
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	if len(latencies) > 0 {
-		tbl.AddRow("latency p50", latencies[len(latencies)/2].Round(time.Microsecond))
-		tbl.AddRow("latency p99", latencies[len(latencies)*99/100].Round(time.Microsecond))
-	}
+	addWorkloadRows(tbl, res.Workload, "served", true)
 	var hedges, wins, suspects, deaths int64
-	for _, snap := range collector.Snapshot() {
+	for _, snap := range res.Observed {
 		hedges += snap.Hedges
 		wins += snap.HedgeWins
 		suspects += snap.ReplicaSuspects
@@ -255,22 +68,47 @@ func runNet(seed uint64, campaign *redundancy.NetworkCampaign, requests int, ext
 	tbl.AddRow("hedges won", wins)
 	tbl.AddRow("replica suspicions", suspects)
 	tbl.AddRow("replica deaths", deaths)
-	peakOn := peakExec
+	peakOn := res.PeakOn
 	if peakOn == "" {
 		peakOn = "none"
 	}
-	tbl.AddRow("SLO fast-burn peak", fmt.Sprintf("%.1f on %s (threshold 14.4)", peakBurn, peakOn))
-	tbl.AddRow("SLO fast-burn final (via-"+netVictim+")", fmt.Sprintf("%.1f", finalBurn))
-	tbl.AddRow("SLO breaching at exit", boolWord(slo.Breaching(), "YES", "no"))
-	states := detector.States()
-	parts := make([]string, 0, len(states))
-	for _, name := range names {
-		parts = append(parts, fmt.Sprintf("%s=%s", name, states[name]))
-	}
-	tbl.AddRow("final membership", strings.Join(parts, " "))
+	tbl.AddRow("SLO fast-burn peak", fmt.Sprintf("%.1f on %s (threshold 14.4)", res.PeakBurn, peakOn))
+	tbl.AddRow("SLO fast-burn final (via-"+fleet.NetVictim+")", fmt.Sprintf("%.1f", res.FinalBurn))
+	tbl.AddRow("SLO breaching at exit", boolWord(res.SLO.Breaching(), "YES", "no"))
+	tbl.AddRow("final membership", membership(res.Replicas, nil, false))
 	fmt.Println(tbl)
-	if rec != nil {
-		return saveRecordedRun(set, runCfg, rec, collector.Snapshot(), slo.Snapshot())
+	if set.storeDir == "" {
+		return nil
 	}
-	return nil
+	return saveRun(set, runCfg, fleetSeed(runCfg.Seed, res.Workload, "", res.Observed, res.SLO.Snapshot()))
+}
+
+// addWorkloadRows prints a fleet workload's request, served and
+// availability rows, then with latency its p50 and p99; servedLabel
+// names the served row.
+func addWorkloadRows(tbl *stats.Table, w fleet.Workload, servedLabel string, latency bool) {
+	tbl.AddRow("requests", len(w.Requests))
+	tbl.AddRow(servedLabel, w.Served())
+	tbl.AddRow("availability", fmt.Sprintf("%.4f", w.Availability()))
+	if latency && len(w.Requests) > 0 {
+		tbl.AddRow("latency p50", w.Percentile(50).Round(time.Microsecond))
+		tbl.AddRow("latency p99", w.Percentile(99).Round(time.Microsecond))
+	}
+}
+
+// membership renders the detector's end state, one name=state entry per
+// replica: marked replicas get a "*", and evidence appends the ledger.
+func membership(replicas []fleet.Replica, marked map[string]bool, evidence bool) string {
+	parts := make([]string, len(replicas))
+	for i, r := range replicas {
+		mark := ""
+		if marked[r.Name] {
+			mark = "*"
+		}
+		parts[i] = fmt.Sprintf("%s%s=%s", r.Name, mark, r.State)
+		if evidence {
+			parts[i] += fmt.Sprintf("(miss=%d,accuse=%d,slow=%d)", r.Misses, r.Accusations, r.Slowness)
+		}
+	}
+	return strings.Join(parts, " ")
 }

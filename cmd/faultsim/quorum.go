@@ -1,38 +1,27 @@
 package main
 
-// The -adversary mode: a 2k+1 quorum fleet under a Byzantine adversary.
-// n replica servers (first `count` of them wrapped as lying adversaries
-// with the chosen strategy) serve a QuorumVariant client that fans every
-// request to the whole fleet and majority-votes the replies. A heartbeat
-// failure detector watches the fleet and receives the quorum's
-// vote-disagreement accusations, so the run's verdicts demonstrate the
-// paper's malicious-fault column end to end: wrong answers outvoted,
-// availability held, and the liars convicted without ever missing a
-// heartbeat. With -campaign-out the run records per-trial ground truth
-// (which requests each adversary attacked) and the conviction TPR/FPR
-// that `campaign diff` gates in CI.
+// The -adversary mode prints and records the internal/fleet E27 run: a
+// 2k+1 quorum fleet whose first `count` replicas lie with the chosen
+// strategy. The table shows wrong answers outvoted, availability held,
+// and the liars convicted without ever missing a heartbeat; with
+// -campaign-out the run stores per-trial ground truth (which requests
+// the adversaries attacked) and the conviction TPR/FPR that `campaign
+// diff` gates in CI.
 
 import (
-	"context"
 	"fmt"
-	"sort"
 	"strings"
-	"time"
 
 	redundancy "github.com/softwarefaults/redundancy"
-	campaignpkg "github.com/softwarefaults/redundancy/internal/campaign"
+	"github.com/softwarefaults/redundancy/internal/campaign"
 	"github.com/softwarefaults/redundancy/internal/faultmodel"
+	"github.com/softwarefaults/redundancy/internal/fleet"
 	"github.com/softwarefaults/redundancy/internal/stats"
 )
 
-// quorumLie is the adversaries' shared wrong answer: plausible (even,
-// near the correct value) and deterministic in the input, so colluding
-// replicas agree with each other.
-func quorumLie(x, correct int) int { return correct + 2 }
-
 // resolvedQuorumConfig builds the config block for an -adversary run.
-func resolvedQuorumConfig(seed uint64, replicas int, spec string, requests int) campaignpkg.Config {
-	return campaignpkg.Config{
+func resolvedQuorumConfig(seed uint64, replicas int, spec string, requests int) campaign.Config {
+	return campaign.Config{
 		Mode:      "quorum",
 		Pattern:   "quorum",
 		Replicas:  replicas,
@@ -40,188 +29,37 @@ func resolvedQuorumConfig(seed uint64, replicas int, spec string, requests int) 
 		Trials:    requests,
 		Requests:  requests,
 		Seed:      seed,
-		Executor: campaignpkg.ExecutorConfig{
-			CallTimeout: faultmodel.Duration(150 * time.Millisecond),
+		Executor: campaign.ExecutorConfig{
+			CallTimeout: faultmodel.Duration(fleet.QuorumCallTimeout),
 		},
 	}
 }
 
-// runQuorum stands up the fleet and drives the workload.
-func runQuorum(seed uint64, replicas int, strategy redundancy.AdversaryStrategy, liarCount, requests int, extra redundancy.Observer, rec *runRecorder, set recorderSettings, runCfg campaignpkg.Config) error {
-	if liarCount > replicas {
-		return fmt.Errorf("-adversary count %d exceeds -replicas %d", liarCount, replicas)
-	}
-	k := redundancy.TolerableFaults(replicas)
-	collector := redundancy.NewCollector()
-	observer := redundancy.CombineObservers(collector, extra)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	network := redundancy.NewPipeNetwork()
-	names := make([]string, replicas)
-	for i := range names {
-		names[i] = fmt.Sprintf("r%d", i+1)
-	}
-
-	// The fleet: the first liarCount replicas are adversaries, the rest
-	// honest. Everyone serves the same correct base (double the input);
-	// the adversaries strategically replace the answer with quorumLie.
-	supervisor := redundancy.NewSupervisor(redundancy.SupervisorOptions{
-		Name:     "quorum-fleet",
-		Observer: observer,
-	})
-	liars := make(map[string]bool, replicas)
-	adversaries := make([]*redundancy.ByzantineAdversary[int, int], 0, liarCount)
-	var servers []*redundancy.ReplicaServer[int, int]
-	for i, name := range names {
-		ln, err := network.Listen(name)
-		if err != nil {
-			return err
-		}
-		var v redundancy.Variant[int, int] = redundancy.NewVariant("double",
-			func(_ context.Context, x int) (int, error) { return 2 * x, nil })
-		liars[name] = i < liarCount
-		if liars[name] {
-			adv := &redundancy.ByzantineAdversary[int, int]{
-				Base:     v,
-				Strategy: strategy,
-				Seed:     seed,
-				Replica:  name,
-				Lie:      quorumLie,
-				Key:      func(x int) uint64 { return faultmodel.HashInt(x) },
-			}
-			adversaries = append(adversaries, adv)
-			v = adv
-		}
-		srv := redundancy.NewReplicaServer(v, ln, redundancy.ReplicaServerConfig{
-			Name:     name,
-			Observer: observer,
-		})
-		if err := supervisor.Add(srv.AsChild()); err != nil {
-			return err
-		}
-		servers = append(servers, srv)
-	}
-	defer func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	}()
-	supDone := make(chan error, 1)
-	go func() { supDone <- supervisor.Serve(ctx) }()
-
-	// The detector heartbeats the fleet — every adversary acks promptly,
-	// so only the quorum's accusations can move them off alive.
-	detector := redundancy.NewFailureDetector(redundancy.FailureDetectorConfig{
-		Name:         "quorum-detector",
-		Interval:     50 * time.Millisecond,
-		Timeout:      40 * time.Millisecond,
-		SuspectAfter: 2,
-		DeadAfter:    6,
-		Observer:     observer,
-	})
-	endpoints := make([]redundancy.ReplicaEndpoint, len(names))
-	for i, name := range names {
-		endpoints[i] = redundancy.ReplicaEndpoint{Name: name, Dial: network.Dial(name)}
-		detector.Watch(name, network.Dial(name))
-	}
-	detDone := make(chan error, 1)
-	go func() { detDone <- detector.Run(ctx) }()
-
-	quorum, err := redundancy.NewQuorumVariant[int, int]("quorum", redundancy.QuorumConfig{
-		CallTimeout: 150 * time.Millisecond,
-		Faults:      k,
-		Detector:    detector,
-		Observer:    observer,
-	}, redundancy.Majority(redundancy.EqualOf[int]()), redundancy.EqualOf[int](), endpoints...)
+// runQuorum runs the fleet and reports it.
+func runQuorum(cfg fleet.QuorumConfig, set recorderSettings, runCfg campaign.Config) error {
+	res, err := fleet.RunQuorum(cfg)
 	if err != nil {
 		return err
 	}
-	defer quorum.Close()
-
-	strategyLabel := "lie:" + string(strategy)
-	var (
-		total, ok, wrong, attacked, outvoted int
-		latencies                            []time.Duration
-	)
-	for i := 0; i < requests; i++ {
-		total++
-		// Ground truth from the adversaries' own determinism: which of
-		// them attack this input (the driver never trusts the replies).
-		liarsHere := 0
-		for _, adv := range adversaries {
-			if adv.Lies(i) {
-				liarsHere++
-			}
-		}
-		if rec != nil {
-			rec.begin(i)
-			if liarsHere > 0 {
-				rec.noteFault(i, strategyLabel)
-			}
-		}
-		start := time.Now()
-		got, err := quorum.Execute(ctx, i)
-		elapsed := time.Since(start)
-		latencies = append(latencies, elapsed)
-		correct := err == nil && got == 2*i
-		if correct {
-			ok++
-		}
-		if liarsHere > 0 {
-			attacked++
-			if correct {
-				// The wrong answer lost the vote: a true positive.
-				outvoted++
-				if rec != nil {
-					rec.noteFailure(i)
-				}
-			}
-		}
-		if err == nil && got != 2*i {
-			wrong++
-			if rec != nil {
-				rec.noteWrong(i)
-			}
-		}
-		if rec != nil {
-			rec.noteServed(i, "quorum")
-			rec.finish(i, err, elapsed)
-		}
-	}
-
-	cancel()
-	<-detDone
-	<-supDone
-
-	// Conviction: the detector's end-of-run verdict per replica against
-	// the ground-truth liar set.
-	states := detector.States()
-	convicted := make(map[string]bool, len(states))
-	for name, state := range states {
-		convicted[name] = state != redundancy.ReplicaAlive
-	}
-	conviction := campaignpkg.NewConviction(liars, convicted)
-
+	conv := res.Conviction
 	tbl := stats.NewTable(
 		fmt.Sprintf("Byzantine quorum fleet (n=%d, k=%d, adversary %s:%d, seed %d)",
-			replicas, k, strategy, liarCount, seed),
+			cfg.Replicas, redundancy.TolerableFaults(cfg.Replicas), cfg.Strategy, cfg.Liars, cfg.Seed),
 		"measure", "value")
-	tbl.AddRow("replicas", strings.Join(names, ", "))
-	tbl.AddRow("liars", liarCount)
-	tbl.AddRow("requests", total)
-	tbl.AddRow("served correctly", ok)
-	tbl.AddRow("availability", fmt.Sprintf("%.4f", float64(ok)/float64(max(total, 1))))
-	tbl.AddRow("requests attacked", attacked)
-	tbl.AddRow("wrong answers outvoted", outvoted)
-	tbl.AddRow("wrong answers accepted", wrong)
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	if len(latencies) > 0 {
-		tbl.AddRow("latency p50", latencies[len(latencies)/2].Round(time.Microsecond))
-		tbl.AddRow("latency p99", latencies[len(latencies)*99/100].Round(time.Microsecond))
+	tbl.AddRow("replicas", strings.Join(res.Names, ", "))
+	tbl.AddRow("liars", cfg.Liars)
+	addWorkloadRows(tbl, res.Workload, "served correctly", true)
+	outvoted := 0
+	for _, r := range res.Requests {
+		if r.Detected {
+			outvoted++
+		}
 	}
+	tbl.AddRow("requests attacked", res.Attacked())
+	tbl.AddRow("wrong answers outvoted", outvoted)
+	tbl.AddRow("wrong answers accepted", res.WrongAnswers())
 	var quorums, disagreements, outvotedEvents int64
-	for _, snap := range collector.Snapshot() {
+	for _, snap := range res.Observed {
 		quorums += snap.QuorumsReached
 		disagreements += snap.VoteDisagreement
 		outvotedEvents += snap.ReplicasOutvoted
@@ -229,59 +67,24 @@ func runQuorum(seed uint64, replicas int, strategy redundancy.AdversaryStrategy,
 	tbl.AddRow("quorum verdicts", quorums)
 	tbl.AddRow("vote disagreements", disagreements)
 	tbl.AddRow("replica replies outvoted", outvotedEvents)
-	parts := make([]string, 0, len(names))
-	for _, name := range names {
-		mark := ""
-		if liars[name] {
-			mark = "*"
-		}
-		parts = append(parts, fmt.Sprintf("%s%s=%s", name, mark, states[name]))
-	}
-	tbl.AddRow("final membership (* = liar)", strings.Join(parts, " "))
-	// The detector's evidence ledger per replica: accusations are the
-	// quorum's outvote reports (the track that convicts a liar, which
-	// acks every heartbeat), misses are heartbeat silence.
-	evidence := make([]string, 0, len(names))
-	for _, name := range names {
-		misses, accusations, _ := detector.Evidence(name)
-		evidence = append(evidence, fmt.Sprintf("%s=%d/%d", name, accusations, misses))
+	tbl.AddRow("final membership (* = liar)", membership(res.Replicas, res.Liars, false))
+	// Accusations are the quorum's outvote reports (the track that
+	// convicts a liar, which acks every heartbeat); misses are heartbeat
+	// silence.
+	evidence := make([]string, len(res.Replicas))
+	for i, r := range res.Replicas {
+		evidence[i] = fmt.Sprintf("%s=%d/%d", r.Name, r.Accusations, r.Misses)
 	}
 	tbl.AddRow("evidence (accusations/misses)", strings.Join(evidence, " "))
 	tbl.AddRow("conviction TPR", fmt.Sprintf("%.2f (%d/%d liars convicted)",
-		conviction.TPR, conviction.ConvictedLiars, conviction.Liars))
+		conv.TPR, conv.ConvictedLiars, conv.Liars))
 	tbl.AddRow("conviction FPR", fmt.Sprintf("%.2f (%d/%d honest convicted)",
-		conviction.FPR, conviction.ConvictedHonest, conviction.Honest))
+		conv.FPR, conv.ConvictedHonest, conv.Honest))
 	fmt.Println(tbl)
-
-	if rec != nil {
-		return saveRecordedQuorumRun(set, runCfg, rec, collector.Snapshot(), conviction)
+	if set.storeDir == "" {
+		return nil
 	}
-	return nil
-}
-
-// saveRecordedQuorumRun packages the run with its conviction block — the
-// replica-level detection quality that per-trial rows cannot carry.
-func saveRecordedQuorumRun(set recorderSettings, cfg campaignpkg.Config, rec *runRecorder, observed []redundancy.ExecutorObservation, conviction *campaignpkg.Conviction) error {
-	trials := rec.trials()
-	seed := campaignpkg.NewSeedResult(cfg.Seed, trials, time.Since(rec.started), observed, nil)
-	seed.Aggregates.Conviction = conviction
-	name := set.name
-	if name == "" {
-		name = "faultsim-" + cfg.Mode
-	}
-	doc := campaignpkg.NewRecordedRun(name, cfg, seed)
-	if set.dropTrials {
-		doc.Points[0].Seeds[0].Trials = nil
-	}
-	st, err := campaignpkg.Open(set.storeDir)
-	if err != nil {
-		return err
-	}
-	id, err := st.Save(doc)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("recorded run %s in %s (%d trials, availability %.4f, conviction tpr %.2f fpr %.2f)\n",
-		id, set.storeDir, doc.TotalTrials(), doc.Availability(), conviction.TPR, conviction.FPR)
-	return nil
+	seed := fleetSeed(cfg.Seed, res.Workload, "quorum", res.Observed, nil)
+	seed.Aggregates.Conviction = conv
+	return saveRun(set, runCfg, seed)
 }

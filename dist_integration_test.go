@@ -1,177 +1,58 @@
 package redundancy_test
 
-// Experiment E24's acceptance test: a three-replica fleet behind the
-// framed RPC transport survives a seeded network-chaos campaign —
-// partition of one replica, packet loss, latency spikes, connection
-// resets — while a parallel-selection executor keeps availability at or
-// above 99%, the heartbeat failure detector convicts the partitioned
-// replica within its heartbeat window, hedged requests win during the
-// rough phases, and nothing leaks a goroutine.
+// Experiment E24's acceptance test: the three-replica fleet of
+// internal/fleet (the one cmd/faultsim -net-chaos runs) survives a
+// seeded network-chaos campaign — partition of one replica, packet
+// loss, latency spikes, connection resets — while a parallel-selection
+// executor keeps availability at or above 99%, the heartbeat failure
+// detector convicts the partitioned replica within its heartbeat
+// window, hedged requests win during the rough phases, and nothing
+// leaks a goroutine.
 
 import (
-	"context"
-	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
 	redundancy "github.com/softwarefaults/redundancy"
+	"github.com/softwarefaults/redundancy/internal/fleet"
 )
 
 func TestE24DistributedReplicaFleet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("network campaign runs for a few wall-clock seconds")
 	}
-	before := runtime.NumGoroutine()
-	runE24Fleet(t)
-	// Everything — servers, detector, remotes, supervisor — is shut down;
-	// give exiting goroutines a moment, then demand the count recovered.
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	buf := make([]byte, 1<<16)
-	n := runtime.Stack(buf, true)
-	t.Errorf("goroutines leaked across the fleet run: %d before, %d after\n%s",
-		before, runtime.NumGoroutine(), buf[:n])
-}
-
-func runE24Fleet(t *testing.T) {
-	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	collector := redundancy.NewCollector()
-	network := redundancy.NewPipeNetwork()
-	const victim = "r2"
-	campaign := redundancy.DefaultNetworkCampaign(1, victim)
-	names := []string{"r1", "r2", "r3"}
-
-	// The replica fleet: three servers of the same variant, their accept
-	// loops supervised like any other child.
-	supervisor := redundancy.NewSupervisor(redundancy.SupervisorOptions{Name: "fleet"})
-	for _, name := range names {
-		ln, err := network.Listen(name)
-		if err != nil {
-			t.Fatalf("Listen(%q): %v", name, err)
-		}
-		v := redundancy.NewVariant("double", func(_ context.Context, x int) (int, error) {
-			return 2 * x, nil
-		})
-		srv := redundancy.NewReplicaServer(v, ln, redundancy.ReplicaServerConfig{Name: name, Observer: collector})
-		if err := supervisor.Add(srv.AsChild()); err != nil {
-			t.Fatalf("supervise %s: %v", name, err)
-		}
-		defer srv.Close()
-	}
-	supDone := make(chan error, 1)
-	go func() { supDone <- supervisor.Serve(ctx) }()
-
-	// Every dial goes through the campaign, heartbeats included: the
-	// detector sees the same partition the clients do.
-	faulty := func(name string) redundancy.DialFunc {
-		return campaign.Wrap(name, network.Dial(name))
-	}
-	detector := redundancy.NewFailureDetector(redundancy.FailureDetectorConfig{
-		Interval:     100 * time.Millisecond,
-		Timeout:      80 * time.Millisecond,
-		SuspectAfter: 2,
-		DeadAfter:    6,
-		Observer:     collector,
-	})
-	for _, name := range names {
-		detector.Watch(name, faulty(name))
-	}
-	detDone := make(chan error, 1)
-	go func() { detDone <- detector.Run(ctx) }()
-
-	// Three remote variants, each preferring a different primary but able
-	// to fail over (and hedge) across the whole fleet.
-	var variants []redundancy.Variant[int, int]
-	for i := range names {
-		var endpoints []redundancy.ReplicaEndpoint
-		for j := 0; j < len(names); j++ {
-			name := names[(i+j)%len(names)]
-			endpoints = append(endpoints, redundancy.ReplicaEndpoint{Name: name, Dial: faulty(name)})
-		}
-		remote, err := redundancy.NewRemoteVariant[int, int]("via-"+names[i], redundancy.RemoteConfig{
-			CallTimeout: 150 * time.Millisecond,
-			HedgeAfter:  25 * time.Millisecond,
-			MaxHedges:   2,
-			Detector:    detector,
-			Observer:    collector,
-		}, endpoints...)
-		if err != nil {
-			t.Fatalf("NewRemoteVariant: %v", err)
-		}
-		defer remote.Close()
-		variants = append(variants, remote)
-	}
-	accept := func(in, out int) error {
-		if out != 2*in {
-			return fmt.Errorf("got %d want %d", out, 2*in)
-		}
-		return nil
-	}
-	sel, err := redundancy.NewParallelSelection(variants,
-		[]redundancy.AcceptanceTest[int, int]{accept, accept, accept},
-		redundancy.WithObserver(collector))
+	defer checkNoGoroutineLeak(t)()
+	campaign := redundancy.DefaultNetworkCampaign(1, fleet.NetVictim)
+	res, err := fleet.RunNet(fleet.NetConfig{Campaign: campaign})
 	if err != nil {
-		t.Fatalf("NewParallelSelection: %v", err)
+		t.Fatalf("RunNet: %v", err)
 	}
 
-	// Drive the workload for the campaign's whole schedule, watching for
-	// the detector to convict the partitioned replica.
-	campaign.Start()
-	var (
-		total, ok     int
-		partitionSeen time.Time
-		suspectedAt   time.Time
-		suspectWindow = 2*100*time.Millisecond + 80*time.Millisecond + 300*time.Millisecond
-		inPartition   bool
-	)
-	for !campaign.Done() {
-		_, phase := campaign.PhaseNow()
-		inPartition = phase != nil && phase.Name == "partition"
-		if inPartition && partitionSeen.IsZero() {
-			partitionSeen = time.Now()
-		}
-		if !partitionSeen.IsZero() && suspectedAt.IsZero() &&
-			detector.State(victim) != redundancy.ReplicaAlive {
-			suspectedAt = time.Now()
-		}
-		total++
-		if got, err := sel.Execute(ctx, total); err == nil && got == 2*total {
-			ok++
-		}
-		sel.Reset() // re-enable variants rejected during rough phases
-	}
-
+	total := len(res.Requests)
 	if total < 20 {
 		t.Fatalf("campaign finished after only %d requests; schedule too short to judge", total)
 	}
-	availability := float64(ok) / float64(total)
+	availability := res.Availability()
 	t.Logf("E24: %d/%d requests served (availability %.2f%%) across %v of network chaos",
-		ok, total, 100*availability, campaign.Total())
+		res.Served(), total, 100*availability, campaign.Total())
 	if availability < 0.99 {
 		t.Errorf("availability %.4f under network chaos, want >= 0.99", availability)
 	}
-	if partitionSeen.IsZero() {
+	if !res.PartitionSeen {
 		t.Fatal("campaign never entered its partition phase")
 	}
-	if suspectedAt.IsZero() {
-		t.Errorf("detector never convicted the partitioned replica %s", victim)
-	} else if convicted := suspectedAt.Sub(partitionSeen); convicted > suspectWindow {
-		t.Errorf("detector took %v to suspect %s, want within %v", convicted, victim, suspectWindow)
+	suspectWindow := 2*100*time.Millisecond + 80*time.Millisecond + 300*time.Millisecond
+	if res.SuspectAfter == 0 {
+		t.Errorf("detector never convicted the partitioned replica %s", fleet.NetVictim)
+	} else if res.SuspectAfter > suspectWindow {
+		t.Errorf("detector took %v to suspect %s, want within %v", res.SuspectAfter, fleet.NetVictim, suspectWindow)
 	} else {
-		t.Logf("E24: detector convicted %s %v after the partition began", victim, convicted)
+		t.Logf("E24: detector convicted %s %v after the partition began", fleet.NetVictim, res.SuspectAfter)
 	}
 
 	// Hedges fired and won somewhere in the rough phases.
 	var hedges, wins, suspects int64
-	for _, snap := range collector.Snapshot() {
+	for _, snap := range res.Observed {
 		hedges += snap.Hedges
 		wins += snap.HedgeWins
 		suspects += snap.ReplicaSuspects
@@ -186,13 +67,4 @@ func runE24Fleet(t *testing.T) {
 		t.Error("no replica suspicion recorded by the observation layer")
 	}
 	t.Logf("E24: %d hedges launched, %d won; %d suspicion transitions", hedges, wins, suspects)
-
-	// Orderly teardown before the leak check.
-	cancel()
-	if err := <-detDone; err != nil {
-		t.Errorf("detector Run: %v", err)
-	}
-	if err := <-supDone; err != nil && ctx.Err() == nil {
-		t.Errorf("supervisor Serve: %v", err)
-	}
 }

@@ -1,6 +1,7 @@
 package redundancy_test
 
-// Experiment E27's acceptance test: a 2k+1 quorum fleet under a lying-
+// Experiment E27's acceptance test: the 2k+1 quorum fleet of
+// internal/fleet (the one cmd/faultsim -adversary runs) under a lying-
 // replica adversary. Replicas that execute correctly, ack every
 // heartbeat, and return plausible wrong answers — always, on an
 // intermittent input subset, or colluding on the same inputs with the
@@ -12,17 +13,15 @@ package redundancy_test
 // 2 > k=1 — the paper's 2k+1 sizing bound demonstrated from both sides.
 
 import (
-	"context"
 	"fmt"
-	"runtime"
 	"testing"
-	"time"
 
 	redundancy "github.com/softwarefaults/redundancy"
+	"github.com/softwarefaults/redundancy/internal/fleet"
 )
 
 func TestE27ByzantineQuorum(t *testing.T) {
-	before := runtime.NumGoroutine()
+	defer checkNoGoroutineLeak(t)()
 
 	cases := []struct {
 		strategy redundancy.AdversaryStrategy
@@ -33,177 +32,49 @@ func TestE27ByzantineQuorum(t *testing.T) {
 		{redundancy.AdversaryCollude, 2},
 	}
 	for _, tc := range cases {
-		tc := tc
 		t.Run(fmt.Sprintf("%s_%d_of_5", tc.strategy, tc.liars), func(t *testing.T) {
-			res := runE27Fleet(t, 5, tc.strategy, tc.liars, 400)
-			if res.wrong != 0 {
+			res := runE27Fleet(t, 5, tc.strategy, tc.liars)
+			if wrong := res.WrongAnswers(); wrong != 0 {
 				t.Errorf("%d wrong answers accepted; a quorum of 5 must outvote %d %s liars",
-					res.wrong, tc.liars, tc.strategy)
+					wrong, tc.liars, tc.strategy)
 			}
-			avail := float64(res.ok) / float64(res.total)
-			if avail < 0.99 {
-				t.Errorf("availability %.4f < 0.99 (%d/%d served)", avail, res.ok, res.total)
+			if avail := res.Availability(); avail < 0.99 {
+				t.Errorf("availability %.4f < 0.99 (%d/%d served)", avail, res.Served(), len(res.Requests))
 			}
-			if res.tpr < 0.9 {
-				t.Errorf("conviction TPR %.2f < 0.9: liars escaped (membership %v)", res.tpr, res.states)
+			if tpr := res.Conviction.TPR; tpr < 0.9 {
+				t.Errorf("conviction TPR %.2f < 0.9: liars escaped (membership %v)", tpr, res.Replicas)
 			}
-			if res.fpr > 0.05 {
-				t.Errorf("conviction FPR %.2f > 0.05: honest replicas framed (membership %v)", res.fpr, res.states)
+			if fpr := res.Conviction.FPR; fpr > 0.05 {
+				t.Errorf("conviction FPR %.2f > 0.05: honest replicas framed (membership %v)", fpr, res.Replicas)
 			}
 		})
 	}
 
 	t.Run("collude_2_of_3_breaks_the_quorum", func(t *testing.T) {
 		// The same cartel of 2, now a majority: n=3 tolerates only k=1.
-		res := runE27Fleet(t, 3, redundancy.AdversaryCollude, 2, 400)
-		if res.wrong == 0 {
+		res := runE27Fleet(t, 3, redundancy.AdversaryCollude, 2)
+		if res.WrongAnswers() == 0 {
 			t.Errorf("colluding majority served no wrong answers at n=3 — the 2k+1 bound should be violated here")
 		}
-		if res.attacked == 0 {
+		if res.Attacked() == 0 {
 			t.Fatalf("adversary never attacked; test is vacuous")
 		}
 	})
-
-	// Everything shut down per subtest; demand the goroutine count
-	// recovered before declaring no leaks.
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	buf := make([]byte, 1<<16)
-	n := runtime.Stack(buf, true)
-	t.Errorf("goroutines leaked across the quorum runs: %d before, %d after\n%s",
-		before, runtime.NumGoroutine(), buf[:n])
 }
 
-// e27Result is what one fleet run measures.
-type e27Result struct {
-	total, ok, wrong, attacked int
-	tpr, fpr                   float64
-	states                     map[string]redundancy.ReplicaState
-}
-
-// runE27Fleet drives `requests` calls through a quorum of n replicas
-// whose first `liarCount` members lie with the given strategy, and
-// returns the availability, wrong-answer, and conviction measurements.
-func runE27Fleet(t *testing.T, n int, strategy redundancy.AdversaryStrategy, liarCount, requests int) e27Result {
+// runE27Fleet drives 400 calls through a quorum of n replicas whose
+// first liars members lie with the given strategy.
+func runE27Fleet(t *testing.T, n int, strategy redundancy.AdversaryStrategy, liars int) *fleet.QuorumResult {
 	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	const seed = 7
-	collector := redundancy.NewCollector()
-	network := redundancy.NewPipeNetwork()
-
-	names := make([]string, n)
-	for i := range names {
-		names[i] = fmt.Sprintf("r%d", i+1)
-	}
-	liars := make(map[string]bool, n)
-	var adversaries []*redundancy.ByzantineAdversary[int, int]
-	supervisor := redundancy.NewSupervisor(redundancy.SupervisorOptions{Name: "byzantine-fleet"})
-	for i, name := range names {
-		ln, err := network.Listen(name)
-		if err != nil {
-			t.Fatalf("Listen(%q): %v", name, err)
-		}
-		var v redundancy.Variant[int, int] = redundancy.NewVariant("double",
-			func(_ context.Context, x int) (int, error) { return 2 * x, nil })
-		liars[name] = i < liarCount
-		if liars[name] {
-			adv := &redundancy.ByzantineAdversary[int, int]{
-				Base:     v,
-				Strategy: strategy,
-				Seed:     seed,
-				Replica:  name,
-				Lie:      func(_, correct int) int { return correct + 2 },
-				Key:      func(x int) uint64 { return uint64(x) * 0x9e3779b97f4a7c15 },
-			}
-			adversaries = append(adversaries, adv)
-			v = adv
-		}
-		srv := redundancy.NewReplicaServer(v, ln, redundancy.ReplicaServerConfig{Name: name, Observer: collector})
-		if err := supervisor.Add(srv.AsChild()); err != nil {
-			t.Fatalf("supervise %s: %v", name, err)
-		}
-		defer srv.Close()
-	}
-	supDone := make(chan error, 1)
-	go func() { supDone <- supervisor.Serve(ctx) }()
-	defer func() { cancel(); <-supDone }()
-
-	// The heartbeat detector: liars ack promptly, so only the quorum's
-	// vote-disagreement accusations can convict them.
-	detector := redundancy.NewFailureDetector(redundancy.FailureDetectorConfig{
-		Interval:     50 * time.Millisecond,
-		Timeout:      40 * time.Millisecond,
-		SuspectAfter: 2,
-		DeadAfter:    6,
-		Observer:     collector,
+	res, err := fleet.RunQuorum(fleet.QuorumConfig{
+		Seed:     7,
+		Replicas: n,
+		Strategy: strategy,
+		Liars:    liars,
+		Requests: 400,
 	})
-	endpoints := make([]redundancy.ReplicaEndpoint, n)
-	for i, name := range names {
-		endpoints[i] = redundancy.ReplicaEndpoint{Name: name, Dial: network.Dial(name)}
-		detector.Watch(name, network.Dial(name))
-	}
-	detDone := make(chan error, 1)
-	go func() { detDone <- detector.Run(ctx) }()
-	defer func() { cancel(); <-detDone }()
-
-	quorum, err := redundancy.NewQuorumVariant[int, int]("quorum", redundancy.QuorumConfig{
-		CallTimeout: 500 * time.Millisecond,
-		Faults:      redundancy.TolerableFaults(n),
-		Detector:    detector,
-		Observer:    collector,
-	}, redundancy.Majority(redundancy.EqualOf[int]()), redundancy.EqualOf[int](), endpoints...)
 	if err != nil {
-		t.Fatalf("NewQuorumVariant: %v", err)
-	}
-	defer quorum.Close()
-
-	var res e27Result
-	for i := 0; i < requests; i++ {
-		res.total++
-		attackedHere := false
-		for _, adv := range adversaries {
-			if adv.Lies(i) {
-				attackedHere = true
-			}
-		}
-		if attackedHere {
-			res.attacked++
-		}
-		got, err := quorum.Execute(ctx, i)
-		if err == nil && got == 2*i {
-			res.ok++
-		}
-		if err == nil && got != 2*i {
-			res.wrong++
-		}
-	}
-
-	// Conviction quality: the detector's verdicts against ground truth.
-	res.states = detector.States()
-	var convictedLiars, convictedHonest, honest int
-	for name, isLiar := range liars {
-		convicted := res.states[name] != redundancy.ReplicaAlive
-		switch {
-		case isLiar && convicted:
-			convictedLiars++
-		case !isLiar:
-			honest++
-			if convicted {
-				convictedHonest++
-			}
-		}
-	}
-	if liarCount > 0 {
-		res.tpr = float64(convictedLiars) / float64(liarCount)
-	}
-	if honest > 0 {
-		res.fpr = float64(convictedHonest) / float64(honest)
+		t.Fatalf("RunQuorum: %v", err)
 	}
 	return res
 }
