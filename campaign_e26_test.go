@@ -9,8 +9,10 @@ package redundancy_test
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	redundancy "github.com/softwarefaults/redundancy"
 )
@@ -114,25 +116,41 @@ func TestE26DiffGatesOnSyntheticRegression(t *testing.T) {
 		t.Fatalf("report does not flag the regression:\n%s", diff.String())
 	}
 
-	// Synthetic latency injection: gates only when timing is gated.
+	// Synthetic latency injection: gates only when timing is gated. The
+	// injection is an absolute delay added to every seed's latency. It is
+	// not a scale factor: scaling also scales the per-seed spread, and so
+	// the sigma·stddev noise bound, and near-zero sim latencies whose
+	// seeds happen to spread widely then stay inside it. The delay
+	// exceeds, by a margin, the largest latency bound (plus any delta)
+	// that the un-injected diff reports; adding the same delay to every
+	// seed leaves the spread, and so the bound, unchanged.
 	lat, err := redundancy.RunExperiment(ctx, e26Spec(), nil)
 	if err != nil {
 		t.Fatalf("latency candidate: %v", err)
 	}
+	var worst float64 // ms
+	for _, pd := range redundancy.DiffExperiments(base, lat, redundancy.ExperimentDiffOptions{GateTiming: true}).Points {
+		for _, md := range pd.Metrics {
+			if md.Metric == "latency_p99_ms" || md.Metric == "latency_mean_ms" {
+				worst = math.Max(worst, md.Bound+math.Abs(md.Delta))
+			}
+		}
+	}
+	delay := time.Duration((2*worst + 1) * float64(time.Millisecond))
 	for pi := range lat.Points {
 		p := &lat.Points[pi]
 		for si := range p.Seeds {
-			p.Seeds[si].Aggregates.Timing.P99 *= 1000
-			p.Seeds[si].Aggregates.Timing.Mean *= 1000
+			p.Seeds[si].Aggregates.Timing.P99 += delay
+			p.Seeds[si].Aggregates.Timing.Mean += delay
 		}
-		p.Pooled.Timing.P99 *= 1000
-		p.Pooled.Timing.Mean *= 1000
+		p.Pooled.Timing.P99 += delay
+		p.Pooled.Timing.Mean += delay
 	}
 	if d := redundancy.DiffExperiments(base, lat, redundancy.ExperimentDiffOptions{}); d.Regressed() {
 		t.Fatalf("latency gated without GateTiming:\n%s", d.String())
 	}
 	d := redundancy.DiffExperiments(base, lat, redundancy.ExperimentDiffOptions{GateTiming: true})
 	if !d.Regressed() {
-		t.Fatalf("injected latency not gated with GateTiming:\n%s", d.String())
+		t.Fatalf("injected latency (+%v) not gated with GateTiming:\n%s", delay, d.String())
 	}
 }

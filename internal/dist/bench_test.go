@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"sort"
 	"testing"
@@ -12,8 +13,8 @@ import (
 )
 
 // BenchmarkRPCRoundTrip measures one framed call over the in-memory
-// transport: gob encode, CRC frame, pipe hop, server dispatch, and the
-// reply path, on a pooled connection.
+// transport: value and envelope encode, CRC frame, pipe hop, server
+// dispatch, and the reply path, on a pooled connection.
 func BenchmarkRPCRoundTrip(b *testing.B) {
 	network := NewPipeNetwork()
 	ln, err := network.Listen("r1")
@@ -41,6 +42,75 @@ func BenchmarkRPCRoundTrip(b *testing.B) {
 	b.StopTimer()
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
 	b.ReportMetric(float64(latencies[len(latencies)*99/100].Nanoseconds()), "p99_ns")
+}
+
+// The per-hop benchmarks below split BenchmarkRPCRoundTrip's wire work
+// into its layers: the value codec, the envelope codec, and the CRC
+// frame write and read. Each reuses its buffers the way the request
+// path does, so allocs/op is the hop's steady-state cost.
+
+// BenchmarkValueCodec encodes and decodes one value through its codec:
+// an int64 on the varint fast path and a 4 KB []byte on the raw-bytes
+// path (whose decode copies out of the read buffer).
+func BenchmarkValueCodec(b *testing.B) {
+	b.Run("int64", func(b *testing.B) {
+		benchValueCodec(b, int64(1)<<40)
+	})
+	b.Run("bytes4k", func(b *testing.B) {
+		benchValueCodec(b, bytes.Repeat([]byte{0xa5}, 4096))
+	})
+}
+
+func benchValueCodec[T any](b *testing.B, v T) {
+	c := newValueCodec[T]()
+	var buf []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if buf, err = c.append(buf[:0], v); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := c.decode(buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEnvelopeCodec appends and parses one traced call envelope
+// around a small payload.
+func BenchmarkEnvelopeCodec(b *testing.B) {
+	env := &envelope{ID: 7, Kind: kindCall, TraceID: 0xdeadbeef, SpanID: 0x1234, Payload: []byte{tagInt, 42}}
+	var buf []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = appendEnvelope(buf[:0], env)
+		if _, err := decodeEnvelope(buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFrameWriteRead seals one frame (length and CRC32), writes it
+// in one Write, and reads and verifies it back.
+func BenchmarkFrameWriteRead(b *testing.B) {
+	payload := appendEnvelope(nil, &envelope{ID: 7, Kind: kindCall, Payload: []byte{tagInt, 42}})
+	var stream bytes.Buffer
+	var wbuf, rbuf []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		wbuf = append(newFrame(wbuf), payload...)
+		if err := writeFrame(&stream, wbuf); err != nil {
+			b.Fatal(err)
+		}
+		var err error
+		if rbuf, err = readFrame(&stream, rbuf); err != nil {
+			b.Fatal(err)
+		}
+		stream.Reset()
+	}
 }
 
 // BenchmarkTracedRPCRoundTrip is BenchmarkRPCRoundTrip with full trace

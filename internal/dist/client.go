@@ -82,8 +82,9 @@ const maxIdleConns = 2
 // slow attempt is raced against the next endpoint (first acceptable
 // result wins, losers are canceled).
 type Remote[I, O any] struct {
-	tp  *transport
-	cfg RemoteConfig
+	tp    *transport
+	cfg   RemoteConfig
+	codec *rpcCodec[I, O]
 	// hedgeAfter is the live hedge delay in nanoseconds. It starts as
 	// cfg.HedgeAfter and is retunable at runtime (SetHedgeAfter) by the
 	// autonomic controller; Execute loads it once per request, so a
@@ -115,7 +116,7 @@ func NewRemote[I, O any](name string, cfg RemoteConfig, endpoints ...Endpoint) (
 		cfg.Breakers.Bind("remote:"+name, cfg.Observer)
 	}
 	r := &Remote[I, O]{
-		tp: tp, cfg: cfg,
+		tp: tp, cfg: cfg, codec: newRPCCodec[I, O](),
 		traced: obs.WantsTrace(cfg.Observer),
 	}
 	r.hedgeAfter.Store(int64(cfg.HedgeAfter))
@@ -294,7 +295,7 @@ func (r *Remote[I, O]) Execute(ctx context.Context, input I) (O, error) {
 		pending++
 		go func() {
 			start := time.Now()
-			value, err := roundTrip[I, O](ctx, r.tp, v, ep, atc, input)
+			value, err := roundTrip(ctx, r.tp, v, ep, atc, r.codec, input)
 			latency := time.Since(start)
 			if o != nil {
 				obs.EmitRPCCompleted(o, name, v.endpoints[ep].Name, req, latency, err)

@@ -314,14 +314,11 @@ func (d *Detector) ping(ctx context.Context, dial DialFunc) error {
 	if deadline, ok := ctx.Deadline(); ok {
 		conn.SetDeadline(deadline)
 	}
-	frame, err := encodeEnvelope(&envelope{Kind: kindPing})
-	if err != nil {
-		return err
-	}
+	frame := appendEnvelope(newFrame(nil), &envelope{Kind: kindPing})
 	if err := writeFrame(conn, frame); err != nil {
 		return err
 	}
-	payload, err := readFrame(conn)
+	payload, err := readFrame(conn, frame)
 	if err != nil {
 		return err
 	}

@@ -44,13 +44,18 @@ func double() core.Variant[int, int] {
 	})
 }
 
+// frameOf builds a complete frame around payload.
+func frameOf(payload []byte) []byte {
+	return append(newFrame(nil), payload...)
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("the payload survives framing")
-	if err := writeFrame(&buf, payload); err != nil {
+	if err := writeFrame(&buf, frameOf(payload)); err != nil {
 		t.Fatalf("writeFrame: %v", err)
 	}
-	got, err := readFrame(&buf)
+	got, err := readFrame(&buf, nil)
 	if err != nil {
 		t.Fatalf("readFrame: %v", err)
 	}
@@ -61,12 +66,12 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameDetectsCorruption(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, []byte("about to be corrupted")); err != nil {
+	if err := writeFrame(&buf, frameOf([]byte("about to be corrupted"))); err != nil {
 		t.Fatalf("writeFrame: %v", err)
 	}
 	raw := buf.Bytes()
 	raw[len(raw)-1] ^= 0xFF // flip a payload bit; the CRC must notice
-	if _, err := readFrame(bytes.NewReader(raw)); !errors.Is(err, ErrBadFrame) {
+	if _, err := readFrame(bytes.NewReader(raw), nil); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("corrupt frame: got %v, want ErrBadFrame", err)
 	}
 }
@@ -75,41 +80,37 @@ func TestFrameRejectsOversizedLength(t *testing.T) {
 	var hdr [frameHeaderSize]byte
 	hdr[0] = frameVersion
 	binary.BigEndian.PutUint32(hdr[1:5], MaxFrameSize+1)
-	if _, err := readFrame(bytes.NewReader(hdr[:])); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := readFrame(bytes.NewReader(hdr[:]), nil); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized frame: got %v, want ErrFrameTooLarge", err)
 	}
 }
 
 func TestFrameRejectsVersionMismatch(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, []byte("future payload")); err != nil {
+	if err := writeFrame(&buf, frameOf([]byte("future payload"))); err != nil {
 		t.Fatalf("writeFrame: %v", err)
 	}
 	raw := buf.Bytes()
-	for _, v := range []byte{frameVersion + 1, frameVersion - 1, 0} {
+	for _, v := range []byte{frameVersion + 1, frameVersion - 1, 2, 0} {
 		raw[0] = v
-		_, err := readFrame(bytes.NewReader(raw))
+		_, err := readFrame(bytes.NewReader(raw), nil)
 		if !errors.Is(err, ErrVersionMismatch) {
 			t.Fatalf("version %d: got %v, want ErrVersionMismatch", v, err)
 		}
 	}
 	raw[0] = frameVersion
-	if _, err := readFrame(bytes.NewReader(raw)); err != nil {
+	if _, err := readFrame(bytes.NewReader(raw), nil); err != nil {
 		t.Fatalf("matching version rejected: %v", err)
 	}
 }
 
 func TestEnvelopeTraceFieldsRoundTrip(t *testing.T) {
 	in := &envelope{ID: 7, Kind: kindCall, Payload: []byte("x"), TraceID: 0xABCD, SpanID: 0x1234}
-	data, err := encodeEnvelope(in)
-	if err != nil {
-		t.Fatalf("encodeEnvelope: %v", err)
-	}
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, data); err != nil {
+	if err := writeFrame(&buf, appendEnvelope(newFrame(nil), in)); err != nil {
 		t.Fatalf("writeFrame: %v", err)
 	}
-	payload, err := readFrame(&buf)
+	payload, err := readFrame(&buf, nil)
 	if err != nil {
 		t.Fatalf("readFrame: %v", err)
 	}
@@ -117,8 +118,30 @@ func TestEnvelopeTraceFieldsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decodeEnvelope: %v", err)
 	}
-	if out.TraceID != in.TraceID || out.SpanID != in.SpanID || out.ID != in.ID {
+	if out.TraceID != in.TraceID || out.SpanID != in.SpanID || out.ID != in.ID || !bytes.Equal(out.Payload, in.Payload) {
 		t.Fatalf("trace fields lost in transit: got %+v want %+v", out, in)
+	}
+}
+
+func TestEnvelopeRejectsMalformed(t *testing.T) {
+	good := appendEnvelope(nil, &envelope{ID: 1, Kind: kindReply, Err: "boom", Payload: []byte{tagInt, 2}})
+	if e, err := decodeEnvelope(good); err != nil || e.Err != "boom" || !bytes.Equal(e.Payload, []byte{tagInt, 2}) {
+		t.Fatalf("well-formed envelope: got %+v, %v", e, err)
+	}
+	badKind := append([]byte(nil), good...)
+	badKind[0] = kindPong + 1
+	overrun := append([]byte(nil), good...)
+	binary.BigEndian.PutUint32(overrun[25:29], uint32(len(good)))
+	for name, data := range map[string][]byte{
+		"empty":     nil,
+		"truncated": good[:envelopeFixedSize-1],
+		"kind zero": append([]byte{0}, good[1:]...),
+		"bad kind":  badKind,
+		"overrun":   overrun,
+	} {
+		if _, err := decodeEnvelope(data); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%s: got %v, want ErrBadFrame", name, err)
+		}
 	}
 }
 

@@ -28,20 +28,20 @@ import (
 
 // Frame layout: a fixed 9-byte header — 1-byte wire version, 4-byte
 // big-endian payload length, 4-byte IEEE CRC32 of the payload —
-// followed by the payload. The CRC turns injected corruption (and torn
-// or reordered byte streams) into a detected connection-level failure
-// instead of a silently wrong result, the same discipline as the
-// checkpoint WAL's record framing. The version byte rejects peers
-// speaking an incompatible envelope schema (version 2 added in-band
-// trace propagation) with a typed error instead of a gob decode error
-// deep in the payload.
+// followed by the payload, one binary envelope (wire.go). The CRC turns
+// injected corruption (and torn or reordered byte streams) into a
+// detected connection-level failure instead of a silently wrong result,
+// the same discipline as the checkpoint WAL's record framing. The
+// version byte rejects peers speaking an incompatible envelope schema
+// with a typed error instead of a decode error deep in the payload.
 const frameHeaderSize = 9
 
 // frameVersion is the current wire version. History:
 //
 //	1 — unversioned 8-byte header (length + CRC only)
 //	2 — version byte added; envelope carries TraceID/SpanID
-const frameVersion = 2
+//	3 — fixed binary envelope, typed value codecs
+const frameVersion = 3
 
 // MaxFrameSize bounds one frame's payload so a corrupt or hostile length
 // prefix cannot make a reader allocate without bound.
@@ -60,30 +60,42 @@ var (
 	ErrVersionMismatch = errors.New("dist: frame version mismatch")
 )
 
-// writeFrame writes one CRC-framed payload. A short write leaves the
-// stream unusable; callers abandon the connection on any error.
-func writeFrame(w io.Writer, payload []byte) error {
+// newFrame starts a frame in buf's storage: the header is reserved, and
+// the caller appends the payload after it for writeFrame to seal.
+func newFrame(buf []byte) []byte {
+	return append(buf[:0], make([]byte, frameHeaderSize)...)
+}
+
+// writeFrame fills in the header of frame (built by newFrame and the
+// appended payload) and writes the whole frame. A short write leaves
+// the stream unusable; callers abandon the connection on any error.
+func writeFrame(w io.Writer, frame []byte) error {
+	payload := frame[frameHeaderSize:]
 	if len(payload) > MaxFrameSize {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(payload))
 	}
-	hdr := make([]byte, frameHeaderSize, frameHeaderSize+len(payload))
-	hdr[0] = frameVersion
-	binary.BigEndian.PutUint32(hdr[1:5], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[5:9], crc32.ChecksumIEEE(payload))
+	frame[0] = frameVersion
+	binary.BigEndian.PutUint32(frame[1:5], uint32(len(payload)))
+	binary.BigEndian.PutUint32(frame[5:9], crc32.ChecksumIEEE(payload))
 	// One Write call per frame: the fault injector's per-write loss,
 	// duplication and reordering then operate on whole frames, which is
 	// what makes CRC detection (rather than resynchronization) the right
 	// recovery.
-	_, err := w.Write(append(hdr, payload...))
+	_, err := w.Write(frame)
 	return err
 }
 
-// readFrame reads one CRC-framed payload, validating version, length
-// and checksum. It returns ErrVersionMismatch or ErrBadFrame (wrapped)
-// on incompatible or corrupt frames; io errors pass through for the
-// caller to classify.
-func readFrame(r io.Reader) ([]byte, error) {
-	hdr := make([]byte, frameHeaderSize)
+// readFrame reads one CRC-framed payload into buf's storage (growing it
+// when the frame does not fit), validating version, length and
+// checksum. The payload aliases that storage until the caller reuses
+// it. It returns ErrVersionMismatch or ErrBadFrame (wrapped) on
+// incompatible or corrupt frames; io errors pass through for the caller
+// to classify.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+	if cap(buf) < frameHeaderSize {
+		buf = make([]byte, frameHeaderSize)
+	}
+	hdr := buf[:frameHeaderSize]
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
@@ -94,11 +106,15 @@ func readFrame(r io.Reader) ([]byte, error) {
 	if n > MaxFrameSize {
 		return nil, fmt.Errorf("%w: length prefix %d", ErrFrameTooLarge, n)
 	}
-	payload := make([]byte, n)
+	sum := binary.BigEndian.Uint32(hdr[5:9])
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	payload := buf[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, err
 	}
-	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(hdr[5:9]) {
+	if crc32.ChecksumIEEE(payload) != sum {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadFrame)
 	}
 	return payload, nil

@@ -76,6 +76,7 @@ type Quorum[I, O any] struct {
 	cfg    QuorumConfig
 	adj    core.Adjudicator[O]
 	eq     core.Equal[O]
+	codec  *rpcCodec[I, O]
 	traced bool
 }
 
@@ -111,7 +112,7 @@ func NewQuorum[I, O any](name string, cfg QuorumConfig, adj core.Adjudicator[O],
 	// request against the fleet size of that request's endpoint view, so
 	// a fleet grown or shrunk at runtime keeps the n-k default honest.
 	return &Quorum[I, O]{
-		tp: tp, cfg: cfg, adj: adj, eq: eq,
+		tp: tp, cfg: cfg, adj: adj, eq: eq, codec: newRPCCodec[I, O](),
 		traced: obs.WantsTrace(cfg.Observer),
 	}, nil
 }
@@ -239,7 +240,7 @@ func (q *Quorum[I, O]) Execute(ctx context.Context, input I) (O, error) {
 		}
 		go func(ep int, atc obs.TraceContext) {
 			start := time.Now()
-			value, err := roundTrip[I, O](ctx, q.tp, v, ep, atc, input)
+			value, err := roundTrip(ctx, q.tp, v, ep, atc, q.codec, input)
 			latency := time.Since(start)
 			if o != nil {
 				obs.EmitRPCCompleted(o, name, v.endpoints[ep].Name, req, latency, err)

@@ -41,8 +41,13 @@ const defaultServerCallTimeout = 30 * time.Second
 // discipline; concurrency comes from concurrent connections.
 type Server[I, O any] struct {
 	variant core.Variant[I, O]
-	ln      net.Listener
-	cfg     ServerConfig
+	// guarded is variant under core.Guard, and executor the observed
+	// executor name "replica:<name>"; both are built once, not per call.
+	guarded  core.Variant[I, O]
+	executor string
+	codec    *rpcCodec[I, O]
+	ln       net.Listener
+	cfg      ServerConfig
 	// traced caches obs.WantsTrace(cfg.Observer): server-side spans join
 	// the wire trace only when an attached observer records traces.
 	traced bool
@@ -63,11 +68,14 @@ func NewServer[I, O any](variant core.Variant[I, O], ln net.Listener, cfg Server
 		cfg.CallTimeout = defaultServerCallTimeout
 	}
 	return &Server[I, O]{
-		variant: variant,
-		ln:      ln,
-		cfg:     cfg,
-		traced:  obs.WantsTrace(cfg.Observer),
-		conns:   make(map[net.Conn]struct{}),
+		variant:  variant,
+		guarded:  core.Guard(variant),
+		executor: "replica:" + cfg.Name,
+		codec:    newRPCCodec[I, O](),
+		ln:       ln,
+		cfg:      cfg,
+		traced:   obs.WantsTrace(cfg.Observer),
+		conns:    make(map[net.Conn]struct{}),
 	}
 }
 
@@ -195,39 +203,54 @@ func (s *Server[I, O]) untrack(c net.Conn) {
 }
 
 // handle serves one connection: framed envelopes in, framed envelopes
-// out, until the peer hangs up or the stream corrupts.
+// out, until the peer hangs up or the stream corrupts. The connection
+// reuses one read buffer and one write buffer for its whole life; a
+// request's payload is decoded before the next read overwrites it.
 func (s *Server[I, O]) handle(ctx context.Context, conn net.Conn) {
+	var rbuf, wbuf []byte
 	for {
-		payload, err := readFrame(conn)
+		payload, err := readFrame(conn, rbuf)
 		if err != nil {
 			return // EOF, closed, or corrupt stream: abandon the connection
 		}
+		rbuf = payload
 		env, err := decodeEnvelope(payload)
 		if err != nil {
 			return
 		}
-		var reply envelope
+		wbuf = newFrame(wbuf)
 		switch env.Kind {
 		case kindPing:
-			reply = envelope{ID: env.ID, Kind: kindPong}
+			wbuf = appendEnvelope(wbuf, &envelope{ID: env.ID, Kind: kindPong})
 		case kindCall:
-			reply = s.call(ctx, env)
+			wbuf = s.call(ctx, &env, wbuf)
 		default:
 			return // protocol violation
 		}
-		out, err := encodeEnvelope(&reply)
-		if err != nil {
-			return
-		}
-		if err := writeFrame(conn, out); err != nil {
+		if err := writeFrame(conn, wbuf); err != nil {
 			return
 		}
 	}
 }
 
-// call executes the variant for one request envelope. Failures —
+// call executes the variant for one request envelope and appends the
+// reply envelope to frame, a frame holding only its header. Failures —
 // decode errors, variant errors, contained panics — travel back as the
 // error string of the reply; the server connection survives them.
+func (s *Server[I, O]) call(ctx context.Context, env *envelope, frame []byte) []byte {
+	reply := envelope{ID: env.ID, Kind: kindReply}
+	value, err := s.execute(ctx, env)
+	if err == nil {
+		var out []byte
+		if out, err = s.codec.out.append(appendEnvelope(frame, &reply), value); err == nil {
+			return out
+		}
+	}
+	reply.Err = err.Error()
+	return appendEnvelope(frame, &reply)
+}
+
+// execute decodes the call's input and runs the guarded variant on it.
 //
 // With an observer attached each served call is one observed request
 // under "replica:<name>" — request span, variant span, adjudication —
@@ -235,16 +258,15 @@ func (s *Server[I, O]) handle(ctx context.Context, conn net.Conn) {
 // trace carried by the envelope (its parent is the client attempt span
 // that sent the call), so the per-process trace exports assemble into
 // one causal tree.
-func (s *Server[I, O]) call(ctx context.Context, env *envelope) envelope {
-	reply := envelope{ID: env.ID, Kind: kindReply}
-	var input I
-	if err := decodeValue(env.Payload, &input); err != nil {
-		reply.Err = err.Error()
-		return reply
+func (s *Server[I, O]) execute(ctx context.Context, env *envelope) (O, error) {
+	input, err := s.codec.in.decode(env.Payload)
+	if err != nil {
+		var zero O
+		return zero, err
 	}
 	callCtx, cancel := context.WithTimeout(ctx, s.cfg.CallTimeout)
 	defer cancel()
-	executor := "replica:" + s.cfg.Name
+	executor := s.executor
 	o := s.cfg.Observer
 	var req uint64
 	if o != nil {
@@ -258,7 +280,7 @@ func (s *Server[I, O]) call(ctx context.Context, env *envelope) envelope {
 		o.VariantStart(executor, s.variant.Name(), req)
 	}
 	start := time.Now()
-	value, err := core.Guard(s.variant).Execute(callCtx, input)
+	value, err := s.guarded.Execute(callCtx, input)
 	if o != nil {
 		latency := time.Since(start)
 		o.VariantEnd(executor, s.variant.Name(), req, latency, err)
@@ -269,15 +291,5 @@ func (s *Server[I, O]) call(ctx context.Context, env *envelope) envelope {
 		}
 		o.RequestEnd(executor, req, latency, outcome)
 	}
-	if err != nil {
-		reply.Err = err.Error()
-		return reply
-	}
-	payload, err := encodeValue(value)
-	if err != nil {
-		reply.Err = err.Error()
-		return reply
-	}
-	reply.Payload = payload
-	return reply
+	return value, err
 }

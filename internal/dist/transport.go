@@ -174,6 +174,14 @@ func (t *transport) close() {
 	}
 }
 
+// frameBufs recycles client frame buffers: a round trip builds its call
+// frame in one buffer and reads the reply into the same storage.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledFrame caps the buffers returned to frameBufs, so one large
+// reply does not pin its storage in the pool.
+const maxPooledFrame = 64 << 10
+
 // roundTrip performs one RPC attempt against one endpoint of the
 // captured snapshot: pooled connection (or fresh dial), framed call
 // out, framed reply in, all under the per-endpoint deadline. The
@@ -181,7 +189,7 @@ func (t *transport) close() {
 // replica continues the trace. Context cancellation — a winner
 // canceling losers or stragglers, or the caller giving up — smashes
 // the connection deadline so a blocked read returns promptly.
-func roundTrip[I, O any](ctx context.Context, t *transport, v *epSet, ep int, tc obs.TraceContext, input I) (out O, err error) {
+func roundTrip[I, O any](ctx context.Context, t *transport, v *epSet, ep int, tc obs.TraceContext, codec *rpcCodec[I, O], input I) (out O, err error) {
 	ctx, cancel := context.WithTimeout(ctx, t.callTimeout)
 	defer cancel()
 	conn, err := v.pools[ep].get(ctx, v.endpoints[ep].Dial)
@@ -192,7 +200,11 @@ func roundTrip[I, O any](ctx context.Context, t *transport, v *epSet, ep int, tc
 		conn.SetDeadline(time.Unix(1, 0)) // the distant past: unblock I/O now
 	})
 	reusable := false
+	buf := frameBufs.Get().(*[]byte)
 	defer func() {
+		if cap(*buf) <= maxPooledFrame {
+			frameBufs.Put(buf)
+		}
 		if !stop() {
 			// The canceler ran (or is running): the deadline may be
 			// smashed, so the connection cannot be trusted for reuse.
@@ -209,26 +221,25 @@ func roundTrip[I, O any](ctx context.Context, t *transport, v *epSet, ep int, tc
 	if d, ok := ctx.Deadline(); ok {
 		conn.SetDeadline(d)
 	}
-	env := &envelope{ID: t.ids.Add(1), Kind: kindCall, TraceID: tc.TraceID, SpanID: tc.SpanID}
-	if env.Payload, err = encodeValue(input); err != nil {
+	id := t.ids.Add(1)
+	frame := appendEnvelope(newFrame(*buf), &envelope{Kind: kindCall, ID: id, TraceID: tc.TraceID, SpanID: tc.SpanID})
+	if frame, err = codec.in.append(frame, input); err != nil {
 		return out, err
 	}
-	frame, err := encodeEnvelope(env)
-	if err != nil {
-		return out, err
-	}
+	*buf = frame
 	if err := writeFrame(conn, frame); err != nil {
 		return out, fmt.Errorf("dist: %s: send: %w", v.endpoints[ep].Name, err)
 	}
-	payload, err := readFrame(conn)
+	payload, err := readFrame(conn, frame)
 	if err != nil {
 		return out, fmt.Errorf("dist: %s: recv: %w", v.endpoints[ep].Name, err)
 	}
+	*buf = payload
 	reply, err := decodeEnvelope(payload)
 	if err != nil {
 		return out, err
 	}
-	if reply.Kind != kindReply || reply.ID != env.ID {
+	if reply.Kind != kindReply || reply.ID != id {
 		return out, fmt.Errorf("%w: unexpected reply kind %d id %d", ErrBadFrame, reply.Kind, reply.ID)
 	}
 	if reply.Err != "" {
@@ -237,7 +248,7 @@ func roundTrip[I, O any](ctx context.Context, t *transport, v *epSet, ep int, tc
 		reusable = true
 		return out, fmt.Errorf("dist: %s: %w: %s", v.endpoints[ep].Name, ErrRemote, reply.Err)
 	}
-	if err := decodeValue(reply.Payload, &out); err != nil {
+	if out, err = codec.out.decode(reply.Payload); err != nil {
 		return out, err
 	}
 	reusable = true

@@ -34,6 +34,7 @@ raw="$(go test -bench=. -benchmem -run='^$' -benchtime="$benchtime" $pkgs)"
 printf '%s\n' "$raw"
 
 commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+procs="${GOMAXPROCS:-$(nproc)}"
 
 # tojson converts `go test -bench` output to a JSON array in the
 # normalized schema the campaign tooling reads: one row per
@@ -44,7 +45,7 @@ commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 # takes the checkpoint/WAL package, "net" takes the distributed
 # transport package, "obs" takes the rest.
 tojson() {
-    printf '%s\n' "$raw" | awk -v mode="$1" -v commit="$commit" '
+    printf '%s\n' "$raw" | awk -v mode="$1" -v commit="$commit" -v procs="$procs" '
 function row(bench, metric, value, unit) {
     if (n++) printf ",\n"
     printf "  {\"benchmark\":\"%s\",\"metric\":\"%s\",\"value\":%s,\"unit\":\"%s\",\"commit\":\"%s\",\"seed\":0}", \
@@ -61,7 +62,11 @@ BEGIN { print "[" }
     else if (mode == "net") keep = net
     else keep = !res && !rec && !net
     if (!keep) next
-    bench = (pkg != "") ? pkg "/" $1 : $1
+    # Drop the -GOMAXPROCS suffix go test appends, so the names match
+    # between machines with different CPU counts.
+    name = $1
+    sub("-" procs "$", "", name)
+    bench = (pkg != "") ? pkg "/" name : name
     row(bench, "ns_per_op", $3, "ns/op")
     for (i = 4; i <= NF; i++) {
         if ($i == "B/op") row(bench, "bytes_per_op", $(i - 1), "B/op")
